@@ -9,11 +9,11 @@
 //! cache-hierarchy machine (cheap sequential access, DRAM-latency
 //! random access, moderately cheap atomics).
 //!
-//! The functional work in [`ligra`] runs with *real* `crossbeam` scoped
-//! threads and atomic metadata — results are deterministic because
-//! every parallel update is a monotonic min/sub on an atomic integer
-//! (confluent operations), while simulated time comes from the cost
-//! model, not the wall clock.
+//! The functional work in [`ligra`] runs on *real* scoped threads
+//! (`std::thread::scope`) over atomic metadata — results are
+//! deterministic because every parallel update is a monotonic min/sub
+//! on an atomic integer (confluent operations), while simulated time
+//! comes from the cost model, not the wall clock.
 
 pub mod galois;
 pub mod ligra;

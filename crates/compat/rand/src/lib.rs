@@ -4,9 +4,9 @@
 //! `gen::<f64>()` and `gen_range(lo..hi)`. [`rngs::StdRng`] here is
 //! splitmix64-seeded xoshiro256++, which is deterministic per seed on
 //! every platform — a property the real `StdRng` does not even promise
-//! across versions. Value streams differ from the real crate, which is
-//! fine: every consumer treats generated graphs as "some deterministic
-//! graph", not a golden artifact. See `crates/compat/README.md`.
+//! across versions. Value streams differ from the real crate; only the
+//! golden checkpoint in `tests/data/` depends on this exact stream.
+//! See `crates/compat/README.md`.
 
 use std::ops::Range;
 

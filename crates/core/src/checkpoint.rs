@@ -18,9 +18,8 @@
 //!
 //! Abort-at-iteration-k then resume is **bit-equal** to the
 //! uninterrupted run — identical metadata, activation logs and
-//! simulated cycle counts — across the full {Serial, Parallel} ×
-//! {List, Bitmap} × {Flat, Chunked} × {Scan, Grid} matrix
-//! (`tests/properties.rs`, `tests/fault_injection.rs`). This holds
+//! simulated cycle counts — in both exec modes (`tests/properties.rs`,
+//! `tests/fault_injection.rs`). This holds
 //! because a boundary snapshot is *complete*: at the top of an
 //! iteration `metadata_prev == metadata_curr` (the publish step just
 //! ran), the activation log holds exactly the completed iterations,
@@ -43,7 +42,6 @@
 
 use crate::error::SimdxError;
 use crate::jit::ActivationLog;
-use crate::metadata::MetadataStore;
 use simdx_gpu::executor::ExecutorStats;
 use simdx_graph::csr::Direction;
 use simdx_graph::VertexId;
@@ -63,13 +61,10 @@ pub struct RunCheckpoint<M: Copy> {
     pub(crate) algorithm: String,
     /// Vertex count of the graph the run was bound to.
     pub(crate) num_vertices: u32,
-    /// The metadata store at the boundary (`prev == curr` there, so
-    /// one copy restores both).
-    pub(crate) meta: MetadataStore<M>,
-    /// The boundary's frontier, always materialized as a list: a
-    /// bins-resident frontier is drained in concatenation order at
-    /// capture (same entries, duplicates and order; the concatenation
-    /// costs were already charged when the bins were filled).
+    /// The metadata at the boundary (`prev == curr` there, so one
+    /// copy restores both).
+    pub(crate) meta: Vec<M>,
+    /// The boundary's frontier worklist.
     pub(crate) frontier: Vec<VertexId>,
     /// Activation log of every completed iteration.
     pub(crate) log: ActivationLog,
@@ -187,13 +182,12 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MetadataLayout;
 
     fn sample() -> RunCheckpoint<u32> {
         RunCheckpoint {
             algorithm: "levels".to_string(),
             num_vertices: 4,
-            meta: MetadataStore::from_vec(MetadataLayout::Flat, vec![0, 1, u32::MAX, u32::MAX]),
+            meta: vec![0, 1, u32::MAX, u32::MAX],
             frontier: vec![1],
             log: ActivationLog::default(),
             prev_dir: Direction::Push,

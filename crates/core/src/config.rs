@@ -5,13 +5,13 @@ use crate::frontier::ClassifyThresholds;
 use crate::fusion::FusionStrategy;
 use simdx_gpu::DeviceSpec;
 
-// All `SIMDX_*` knobs share the same contract: unset or empty selects
-// the default; values are matched case-insensitively; anything
+// The `SIMDX_EXEC` knob's contract: unset or empty selects the
+// default; values are matched case-insensitively; anything
 // unrecognized is an `SimdxError::InvalidKnob`, so a CI typo can never
-// silently fall back to the default configuration. Each knob type
-// splits the contract into `try_from_env` (one fresh `getenv` — the
-// path every session-API construction takes via
-// `EngineConfig::from_env`) and a pure `try_from_raw` half.
+// silently fall back to the default configuration. The contract splits
+// into `try_from_env` (one fresh `getenv` — the path every session-API
+// construction takes via `EngineConfig::from_env`) and a pure
+// `try_from_raw` half.
 
 /// Applies the knob contract to an already-read raw value — the pure
 /// half of every knob's `try_from_env`, so tests can exercise parsing
@@ -42,57 +42,32 @@ fn parse_knob<T>(
     }
 }
 
-// The per-process knob-default caches (`ExecMode::default()` and
-// friends) have no error channel, so each caches the *fallible* parse
-// result once: `Default` hands out the hard-coded fallback on a bad
-// value (never a panic — this used to abort the process), and
-// [`EngineConfig::validate`] consults `cached_knob_error` so a session
+// The per-process knob-default cache (`ExecMode::default()`) has no
+// error channel, so it caches the *fallible* parse result once:
+// `Default` hands out the hard-coded fallback on a bad value (never a
+// panic — this used to abort the process), and
+// [`EngineConfig::validate`] consults the cached error so a session
 // built from `Default` (`Runtime::new(EngineConfig::default())`)
 // surfaces the typo as a typed `SimdxError::InvalidConfig` — a CI typo
 // still cannot silently select the default configuration.
 //
-// THE CACHING CONTRACT: each cache reads its `SIMDX_*` variable once
-// per process, at the first `Default` construction. A knob set (or
-// fixed) *after* that point is invisible to `Default` and to
-// `validate` forever — that is the price of keeping
-// `EngineConfig::default()` allocation-free inside timed bench
-// regions. Embedders that change knobs at run time must construct
-// through [`EngineConfig::from_env`] / `Runtime::from_env`, which
-// bypass the caches entirely: fresh reads, and only the pure
-// [`EngineConfig::consistency`] half of validation (never
-// `cached_knob_error`), so neither a stale cached value nor a stale
-// cached *error* can leak into that path.
+// THE CACHING CONTRACT: the cache reads `SIMDX_EXEC` once per process,
+// at the first `Default` construction. A knob set (or fixed) *after*
+// that point is invisible to `Default` and to `validate` forever —
+// that is the price of keeping `EngineConfig::default()`
+// allocation-free inside timed bench regions. Embedders that change
+// the knob at run time must construct through
+// [`EngineConfig::from_env`] / `Runtime::from_env`, which bypass the
+// cache entirely: a fresh read, and only the pure
+// [`EngineConfig::consistency`] half of validation (never the cached
+// error), so neither a stale cached value nor a stale cached *error*
+// can leak into that path.
 
-/// First error among the cached per-process knob defaults, if any.
-pub(crate) fn cached_knob_error() -> Option<SimdxError> {
-    cached_exec_knob()
-        .err()
-        .or_else(|| cached_frontier_knob().err())
-        .or_else(|| cached_layout_knob().err())
-        .or_else(|| cached_push_knob().err())
-}
-
+/// The cached per-process `SIMDX_EXEC` parse (see the caching
+/// contract above).
 fn cached_exec_knob() -> Result<ExecMode, SimdxError> {
     static CACHE: std::sync::OnceLock<Result<ExecMode, SimdxError>> = std::sync::OnceLock::new();
     CACHE.get_or_init(ExecMode::try_from_env).clone()
-}
-
-fn cached_frontier_knob() -> Result<FrontierRepr, SimdxError> {
-    static CACHE: std::sync::OnceLock<Result<FrontierRepr, SimdxError>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(FrontierRepr::try_from_env).clone()
-}
-
-fn cached_layout_knob() -> Result<MetadataLayout, SimdxError> {
-    static CACHE: std::sync::OnceLock<Result<MetadataLayout, SimdxError>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(MetadataLayout::try_from_env).clone()
-}
-
-fn cached_push_knob() -> Result<PushStrategy, SimdxError> {
-    static CACHE: std::sync::OnceLock<Result<PushStrategy, SimdxError>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(PushStrategy::try_from_env).clone()
 }
 
 /// Which frontier-filter strategy the engine uses each iteration (§4).
@@ -189,219 +164,40 @@ impl Default for ExecMode {
 
 /// How the engine represents set-shaped frontier state.
 ///
-/// Orthogonal to [`ExecMode`], and under the same contract: `Bitmap`
-/// is **bit-equal** to `List` — identical metadata, activation logs
-/// and simulated cycle counts (`tests/frontier_equivalence.rs`
-/// enforces the full algorithm × exec-mode matrix). Only host-side
-/// data structures change:
-///
-/// * `List` keeps every frontier artifact as a `Vec<VertexId>`
-///   worklist (the seed behaviour) — cheapest for sparse push
-///   frontiers.
-/// * `Bitmap` uses [`crate::frontier::FrontierBitmap`] (one `u64`
-///   word per 64 vertices, two warp chunks) for the changed-vertex
-///   set, pull-candidate dedup and the ballot scan's occupancy, so
-///   membership tests are single-bit loads and all-zero words are
-///   skipped 64 vertices at a time — wins on dense frontiers and
-///   pull-heavy phases.
+/// Single-valued: every frontier artifact is a `Vec<VertexId>`
+/// worklist, the form SIMD-X's task management produces (§4). The type
+/// and [`EngineConfig::frontier`] are kept only so exhaustive
+/// `EngineConfig` literals compile; the engine never reads them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FrontierRepr {
-    /// Sorted/concatenated vertex worklists (seed behaviour).
+    /// Sorted/concatenated vertex worklists.
     List,
-    /// Word-per-64-vertices bitmaps for set-shaped frontier state.
-    Bitmap,
-}
-
-impl FrontierRepr {
-    /// The representation selected by the `SIMDX_FRONTIER` environment
-    /// variable: `"bitmap"` selects `Bitmap`; `"list"`, empty or unset
-    /// select `List`. Any other value is an
-    /// [`SimdxError::InvalidKnob`].
-    pub fn try_from_env() -> Result<Self, SimdxError> {
-        Self::try_from_raw(std::env::var("SIMDX_FRONTIER").ok())
-    }
-
-    /// The pure half of [`Self::try_from_env`] (see [`parse_knob`]).
-    pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        parse_knob(
-            "SIMDX_FRONTIER",
-            "'list' or 'bitmap'",
-            Self::List,
-            raw,
-            |v| match v {
-                "list" => Some(Self::List),
-                "bitmap" => Some(Self::Bitmap),
-                _ => None,
-            },
-        )
-    }
-
-    /// Short label for reports and bench artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::List => "list",
-            Self::Bitmap => "bitmap",
-        }
-    }
-}
-
-impl Default for FrontierRepr {
-    /// Defers to the cached `SIMDX_FRONTIER` parse so
-    /// `SIMDX_FRONTIER=bitmap` flips the default for a whole
-    /// test/bench process. The parse is cached: benches call
-    /// `EngineConfig::default()` inside timed regions, and an env
-    /// lookup per construction would leak into wall-clock numbers. A
-    /// malformed value falls back to `List` (no panic in `Default`);
-    /// [`EngineConfig::validate`] reports it as a typed error.
-    fn default() -> Self {
-        cached_frontier_knob().unwrap_or(Self::List)
-    }
 }
 
 /// How the engine lays out the per-vertex metadata pair in host
 /// memory.
 ///
-/// Orthogonal to [`ExecMode`] and [`FrontierRepr`], and under the same
-/// contract: `Chunked` is **bit-equal** to `Flat` — identical
-/// metadata, activation logs and simulated cycle counts
-/// (`tests/frontier_equivalence.rs` enforces the full
-/// algorithm × exec × repr × layout matrix). Only the host-side
-/// storage and loop shapes change:
-///
-/// * `Flat` keeps `metadata_prev`/`metadata_curr` as plain `Vec<M>`s
-///   (the seed behaviour) and sweeps them with scalar per-vertex
-///   indexing.
-/// * `Chunked` stores them in
-///   [`crate::metadata::MetadataStore::Chunked`] — a 64-byte-aligned
-///   buffer padded to whole 32-vertex chunks (one chunk = one warp of
-///   ballot lanes; two chunks = one
-///   [`crate::frontier::FrontierBitmap`] word). The ballot scan, the
-///   pull-vote candidate sweep and the bitmap publish step walk it
-///   chunk-at-a-time with fixed-width inner loops the compiler can
-///   vectorize, and parallel partitions never split a chunk.
+/// Single-valued: `metadata_prev`/`metadata_curr` are plain `Vec<M>`s.
+/// The type and [`EngineConfig::layout`] are kept only so exhaustive
+/// `EngineConfig` literals compile; the engine never reads them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MetadataLayout {
-    /// Plain `Vec<M>` metadata arrays (seed behaviour).
+    /// Plain `Vec<M>` metadata arrays.
     Flat,
-    /// Warp-chunked, cache-line-aligned metadata storage.
-    Chunked,
-}
-
-impl MetadataLayout {
-    /// The layout selected by the `SIMDX_LAYOUT` environment variable:
-    /// `"chunked"` selects `Chunked`; `"flat"`, empty or unset select
-    /// `Flat`. Any other value is an [`SimdxError::InvalidKnob`].
-    pub fn try_from_env() -> Result<Self, SimdxError> {
-        Self::try_from_raw(std::env::var("SIMDX_LAYOUT").ok())
-    }
-
-    /// The pure half of [`Self::try_from_env`] (see [`parse_knob`]).
-    pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        parse_knob(
-            "SIMDX_LAYOUT",
-            "'flat' or 'chunked'",
-            Self::Flat,
-            raw,
-            |v| match v {
-                "flat" => Some(Self::Flat),
-                "chunked" => Some(Self::Chunked),
-                _ => None,
-            },
-        )
-    }
-
-    /// Short label for reports and bench artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Flat => "flat",
-            Self::Chunked => "chunked",
-        }
-    }
-}
-
-impl Default for MetadataLayout {
-    /// Defers to the cached `SIMDX_LAYOUT` parse so
-    /// `SIMDX_LAYOUT=chunked` flips the default for a whole test/bench
-    /// process, cached like [`FrontierRepr`]'s default. A malformed
-    /// value falls back to `Flat` (no panic in `Default`);
-    /// [`EngineConfig::validate`] reports it as a typed error.
-    fn default() -> Self {
-        cached_layout_knob().unwrap_or(Self::Flat)
-    }
 }
 
 /// How the parallel backend distributes push-mode edge work across its
 /// destination shards.
 ///
-/// Orthogonal to [`ExecMode`], [`FrontierRepr`] and [`MetadataLayout`],
-/// and under the same contract: `Grid` is **bit-equal** to `Scan` —
-/// identical metadata, activation logs and simulated cycle counts
-/// (`tests/frontier_equivalence.rs` sweeps the strategy axis across
-/// the full matrix). Only the host-side edge traversal changes; the
-/// serial backend ignores the knob entirely (there is exactly one
-/// shard).
-///
-/// * `Scan` is the seed behaviour: every worker replays the *entire*
-///   frontier task list and discards the edges that land outside its
-///   destination shard, so one iteration traverses
-///   `threads × |E_frontier|` edges.
-/// * `Grid` iterates a bind-time destination-bucketed sub-CSR
-///   ([`crate::grid::GridCsr`]): worker `s` sees only the edges whose
-///   destination falls in shard `s`, pre-sliced per source in the
-///   original adjacency order, so one iteration traverses each
-///   frontier edge exactly once — the work-optimal form. The
-///   [`crate::metrics::RunReport::edges_examined`] counter records the
-///   difference.
+/// Single-valued: worker `s` iterates the bind-time
+/// destination-bucketed [`crate::grid::GridCsr`] shard `s`, so one
+/// iteration traverses each frontier edge exactly once. The type and
+/// [`EngineConfig::push`] are kept only so exhaustive `EngineConfig`
+/// literals compile; the engine never reads them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PushStrategy {
-    /// Scan-and-skip: full task-list replay per destination shard
-    /// (seed behaviour).
-    Scan,
     /// Work-optimal replay over the bind-time grid CSR.
     Grid,
-}
-
-impl PushStrategy {
-    /// The strategy selected by the `SIMDX_PUSH` environment variable:
-    /// `"scan"` selects `Scan`; `"grid"`, empty or unset select
-    /// `Grid`. Any other value is an [`SimdxError::InvalidKnob`].
-    pub fn try_from_env() -> Result<Self, SimdxError> {
-        Self::try_from_raw(std::env::var("SIMDX_PUSH").ok())
-    }
-
-    /// The pure half of [`Self::try_from_env`] (see [`parse_knob`]).
-    pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        parse_knob(
-            "SIMDX_PUSH",
-            "'scan' or 'grid'",
-            Self::Grid,
-            raw,
-            |v| match v {
-                "scan" => Some(Self::Scan),
-                "grid" => Some(Self::Grid),
-                _ => None,
-            },
-        )
-    }
-
-    /// Short label for reports and bench artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Scan => "scan",
-            Self::Grid => "grid",
-        }
-    }
-}
-
-impl Default for PushStrategy {
-    /// Defers to the cached `SIMDX_PUSH` parse so `SIMDX_PUSH=scan`
-    /// flips the default for a whole test/bench process, cached like
-    /// the other knob defaults. A malformed value falls back to `Grid`
-    /// (no panic in `Default`); [`EngineConfig::validate`] reports it
-    /// as a typed error.
-    fn default() -> Self {
-        cached_push_knob().unwrap_or(Self::Grid)
-    }
 }
 
 /// What a session does when a parallel run fails with a contained
@@ -471,11 +267,14 @@ pub struct EngineConfig {
     pub max_iterations: u32,
     /// Host execution backend (serial reference vs worker pool).
     pub exec: ExecMode,
-    /// Frontier representation (vertex worklists vs bitmaps).
+    /// Frontier representation; single-valued, never read by the
+    /// engine (see [`FrontierRepr`]).
     pub frontier: FrontierRepr,
-    /// Metadata memory layout (flat vectors vs warp-chunked storage).
+    /// Metadata memory layout; single-valued, never read by the engine
+    /// (see [`MetadataLayout`]).
     pub layout: MetadataLayout,
-    /// Parallel push edge distribution (scan-and-skip vs grid CSR).
+    /// Parallel push edge distribution; single-valued, never read by
+    /// the engine (see [`PushStrategy`]).
     pub push: PushStrategy,
     /// Reaction to a contained worker panic (fail the query vs retry
     /// it once serially).
@@ -483,34 +282,23 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// Paper defaults with the four host knobs read from their cached
-    /// per-process environment defaults (`SIMDX_EXEC`,
-    /// `SIMDX_FRONTIER`, `SIMDX_LAYOUT`, `SIMDX_PUSH`); an unparsable
-    /// knob selects the hard-coded fallback here and is reported as a
-    /// typed error by [`Self::validate`] (which every session
-    /// construction calls). Session construction should prefer the
-    /// fallible [`Self::from_env`].
+    /// Paper defaults with the host backend read from the cached
+    /// per-process `SIMDX_EXEC` default; an unparsable value selects
+    /// `Serial` here and is reported as a typed error by
+    /// [`Self::validate`] (which every session construction calls).
+    /// Session construction should prefer the fallible
+    /// [`Self::from_env`].
     fn default() -> Self {
-        Self::with_knobs(
-            ExecMode::default(),
-            FrontierRepr::default(),
-            MetadataLayout::default(),
-            PushStrategy::default(),
-        )
+        Self::with_exec_mode(ExecMode::default())
     }
 }
 
 impl EngineConfig {
-    /// The paper-default configuration around the given host knobs —
+    /// The paper-default configuration around the given host backend —
     /// the one constructor that does not consult the environment, so
     /// the fallible path can report a bad knob instead of panicking
     /// halfway through `Default::default()`.
-    fn with_knobs(
-        exec: ExecMode,
-        frontier: FrontierRepr,
-        layout: MetadataLayout,
-        push: PushStrategy,
-    ) -> Self {
+    fn with_exec_mode(exec: ExecMode) -> Self {
         Self {
             device: DeviceSpec::k40(),
             fusion: FusionStrategy::PushPull,
@@ -522,45 +310,29 @@ impl EngineConfig {
             direction: DirectionPolicy::default(),
             max_iterations: 100_000,
             exec,
-            frontier,
-            layout,
-            push,
+            frontier: FrontierRepr::List,
+            layout: MetadataLayout::Flat,
+            push: PushStrategy::Grid,
             degrade: DegradePolicy::Fail,
         }
     }
 
-    /// The default configuration with every `SIMDX_*` host knob parsed
-    /// fallibly from the environment: a typo in `SIMDX_EXEC`,
-    /// `SIMDX_FRONTIER`, `SIMDX_LAYOUT` or `SIMDX_PUSH` comes back as
+    /// The default configuration with `SIMDX_EXEC` parsed fallibly
+    /// from the environment: a typo comes back as
     /// [`SimdxError::InvalidKnob`] instead of a panic. This reads the
     /// environment on every call (no cache) — it is meant for
     /// session-construction time, not hot loops.
     pub fn from_env() -> Result<Self, SimdxError> {
-        Self::from_knob_values(
-            std::env::var("SIMDX_EXEC").ok(),
-            std::env::var("SIMDX_FRONTIER").ok(),
-            std::env::var("SIMDX_LAYOUT").ok(),
-            std::env::var("SIMDX_PUSH").ok(),
-        )
+        Self::from_knob_value(std::env::var("SIMDX_EXEC").ok())
     }
 
     /// The pure half of [`Self::from_env`]: build a configuration from
-    /// raw knob strings (each `None` meaning "variable unset"), parse
-    /// them fallibly and check only [`Self::consistency`] — never the
-    /// per-process caches, since the raw values given here are by
+    /// the raw `SIMDX_EXEC` string (`None` meaning "variable unset"),
+    /// parse it fallibly and check only [`Self::consistency`] — never
+    /// the per-process cache, since the raw value given here is by
     /// definition fresh.
-    pub(crate) fn from_knob_values(
-        exec: Option<String>,
-        frontier: Option<String>,
-        layout: Option<String>,
-        push: Option<String>,
-    ) -> Result<Self, SimdxError> {
-        let cfg = Self::with_knobs(
-            ExecMode::try_from_raw(exec)?,
-            FrontierRepr::try_from_raw(frontier)?,
-            MetadataLayout::try_from_raw(layout)?,
-            PushStrategy::try_from_raw(push)?,
-        );
+    pub(crate) fn from_knob_value(exec: Option<String>) -> Result<Self, SimdxError> {
+        let cfg = Self::with_exec_mode(ExecMode::try_from_raw(exec)?);
         cfg.consistency()?;
         Ok(cfg)
     }
@@ -569,13 +341,13 @@ impl EngineConfig {
     /// API ([`crate::session::Runtime::new`]) rejects broken configs up
     /// front instead of letting the engine panic mid-run.
     pub fn validate(&self) -> Result<(), SimdxError> {
-        // The cached per-process knob defaults swallow a malformed
-        // SIMDX_* value into a fallback (Default has no error channel);
-        // surface it here so every session construction fails typed
-        // instead of silently running the fallback configuration.
-        // Configs built through `from_env` / `from_knob_values` skip
-        // this gate — their knobs were read fresh, not from the caches.
-        if let Some(err) = cached_knob_error() {
+        // The cached per-process knob default swallows a malformed
+        // SIMDX_EXEC value into a fallback (Default has no error
+        // channel); surface it here so every session construction fails
+        // typed instead of silently running the fallback configuration.
+        // Configs built through `from_env` / `from_knob_value` skip this
+        // gate — their knob was read fresh, not from the cache.
+        if let Err(err) = cached_exec_knob() {
             return Err(SimdxError::InvalidConfig {
                 reason: format!("cached knob default is invalid: {err}"),
             });
@@ -656,39 +428,6 @@ impl EngineConfig {
         self.with_exec(ExecMode::Parallel { threads })
     }
 
-    /// Builder: set the frontier representation.
-    pub fn with_frontier(mut self, frontier: FrontierRepr) -> Self {
-        self.frontier = frontier;
-        self
-    }
-
-    /// Builder: bitmap frontier representation.
-    pub fn bitmap(self) -> Self {
-        self.with_frontier(FrontierRepr::Bitmap)
-    }
-
-    /// Builder: set the metadata layout.
-    pub fn with_layout(mut self, layout: MetadataLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Builder: warp-chunked metadata layout.
-    pub fn chunked(self) -> Self {
-        self.with_layout(MetadataLayout::Chunked)
-    }
-
-    /// Builder: set the parallel push strategy.
-    pub fn with_push(mut self, push: PushStrategy) -> Self {
-        self.push = push;
-        self
-    }
-
-    /// Builder: the legacy scan-and-skip push replay.
-    pub fn scan_push(self) -> Self {
-        self.with_push(PushStrategy::Scan)
-    }
-
     /// Builder: set the worker-panic degradation policy.
     pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
         self.degrade = degrade;
@@ -747,23 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn metadata_layout_builders_and_labels() {
-        assert_eq!(MetadataLayout::Flat.label(), "flat");
-        assert_eq!(MetadataLayout::Chunked.label(), "chunked");
-        let c = EngineConfig::unscaled().chunked();
-        assert_eq!(c.layout, MetadataLayout::Chunked);
-        let c = c.with_layout(MetadataLayout::Flat);
-        assert_eq!(c.layout, MetadataLayout::Flat);
-        // Without SIMDX_LAYOUT in the test environment the default is
-        // flat; with it, CI flips every default config to chunked
-        // (both are valid here by the bit-equality contract).
-        assert!(matches!(
-            EngineConfig::default().layout,
-            MetadataLayout::Flat | MetadataLayout::Chunked
-        ));
-    }
-
-    #[test]
     fn env_knob_contract() {
         // Unset and empty fall back to the default; matching is
         // case-insensitive. Driven through the pure half so the test
@@ -782,28 +504,18 @@ mod tests {
 
     #[test]
     fn from_env_path_never_consults_the_stale_caches() {
-        // Populate the per-process caches with the clean-environment
-        // defaults first — this is the state a long-lived embedder is
-        // in when it later changes SIMDX_* and constructs a new
-        // runtime.
+        // Populate the per-process cache with the clean-environment
+        // default first — this is the state a long-lived embedder is in
+        // when it later changes SIMDX_EXEC and constructs a new runtime.
         let _ = EngineConfig::default();
-        // The fresh-read path must honor the new raw values, not the
-        // cached defaults.
-        let cfg = EngineConfig::from_knob_values(
-            Some("parallel:3".to_string()),
-            Some("bitmap".to_string()),
-            Some("chunked".to_string()),
-            Some("scan".to_string()),
-        )
-        .expect("all four knob values are valid");
+        // The fresh-read path must honor the new raw value, not the
+        // cached default.
+        let cfg = EngineConfig::from_knob_value(Some("parallel:3".to_string()))
+            .expect("the knob value is valid");
         assert_eq!(cfg.exec, ExecMode::Parallel { threads: 3 });
-        assert_eq!(cfg.frontier, FrontierRepr::Bitmap);
-        assert_eq!(cfg.layout, MetadataLayout::Chunked);
-        assert_eq!(cfg.push, PushStrategy::Scan);
         // And a typo surfaces as a typed error from the fresh read,
-        // regardless of what the caches hold.
-        let err = EngineConfig::from_knob_values(Some("warp9".to_string()), None, None, None)
-            .unwrap_err();
+        // regardless of what the cache holds.
+        let err = EngineConfig::from_knob_value(Some("warp9".to_string())).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -849,49 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn push_strategy_builders_and_labels() {
-        assert_eq!(PushStrategy::Scan.label(), "scan");
-        assert_eq!(PushStrategy::Grid.label(), "grid");
-        let c = EngineConfig::unscaled().scan_push();
-        assert_eq!(c.push, PushStrategy::Scan);
-        let c = c.with_push(PushStrategy::Grid);
-        assert_eq!(c.push, PushStrategy::Grid);
-        // Without SIMDX_PUSH the default strategy is the work-optimal
-        // grid; with it, CI flips every default config to the legacy
-        // scan replay (both are valid here by the bit-equality
-        // contract).
-        assert!(matches!(
-            EngineConfig::default().push,
-            PushStrategy::Grid | PushStrategy::Scan
-        ));
-    }
-
-    #[test]
-    fn push_knob_rejects_typos() {
-        let parse = |v: &str| match v {
-            "scan" => Some(PushStrategy::Scan),
-            "grid" => Some(PushStrategy::Grid),
-            _ => None,
-        };
-        let err = parse_knob(
-            "SIMDX_PUSH",
-            "'scan' or 'grid'",
-            PushStrategy::Grid,
-            Some("mesh".to_string()),
-            parse,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "SIMDX_PUSH must be 'scan' or 'grid', got 'mesh'"
-        );
-        assert_eq!(
-            parse_knob("SIMDX_PUSH", "x", PushStrategy::Grid, None, parse),
-            Ok(PushStrategy::Grid)
-        );
-    }
-
-    #[test]
     fn degrade_policy_defaults_to_fail_and_composes() {
         assert_eq!(EngineConfig::default().degrade, DegradePolicy::Fail);
         let c = EngineConfig::unscaled().degrade_serial();
@@ -902,10 +571,10 @@ mod tests {
 
     #[test]
     fn clean_environment_has_no_cached_knob_error() {
-        // The test processes never set SIMDX_* to invalid values, so
-        // the cached defaults parse cleanly and validate() does not
-        // reject on their account.
-        assert_eq!(cached_knob_error(), None);
+        // The test processes never set SIMDX_EXEC to an invalid value,
+        // so the cached default parses cleanly and validate() does not
+        // reject on its account.
+        assert!(cached_exec_knob().is_ok());
     }
 
     #[test]
@@ -915,9 +584,6 @@ mod tests {
         let cfg = EngineConfig::from_env().expect("clean environment");
         let def = EngineConfig::default();
         assert_eq!(cfg.exec, def.exec);
-        assert_eq!(cfg.frontier, def.frontier);
-        assert_eq!(cfg.layout, def.layout);
-        assert_eq!(cfg.push, def.push);
         assert_eq!(cfg.max_iterations, def.max_iterations);
     }
 
@@ -945,23 +611,5 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn frontier_repr_builders_and_labels() {
-        assert_eq!(FrontierRepr::List.label(), "list");
-        assert_eq!(FrontierRepr::Bitmap.label(), "bitmap");
-        let c = EngineConfig::unscaled().bitmap();
-        assert_eq!(c.frontier, FrontierRepr::Bitmap);
-        let c = c.with_frontier(FrontierRepr::List);
-        assert_eq!(c.frontier, FrontierRepr::List);
-        // Without SIMDX_FRONTIER in the test environment the default
-        // is the list representation; with it, CI flips every default
-        // config to bitmap (both are valid here by the bit-equality
-        // contract).
-        assert!(matches!(
-            EngineConfig::default().frontier,
-            FrontierRepr::List | FrontierRepr::Bitmap
-        ));
     }
 }

@@ -29,20 +29,16 @@
 //!
 //! * *Push compute is destination-sharded.* Each worker owns a
 //!   contiguous vertex range of `metadata_curr` (balanced by
-//!   in-degree) and applies only the edges that land in its range.
-//!   [`crate::config::PushStrategy`] selects how it finds them: `Scan`
-//!   replays the full task list and skips out-of-shard edges (total
-//!   traversal `threads × |E_frontier|`), `Grid` (the default)
-//!   iterates the bind-time destination-bucketed [`GridCsr`] so each
-//!   edge is traversed exactly once per iteration. Either way sources
-//!   read the immutable `metadata_prev` snapshot, so a destination's
-//!   update sequence depends only on the edges that target it — every
-//!   worker observes exactly the serial subsequence for its vertices,
+//!   in-degree) and iterates only its shard of the bind-time
+//!   destination-bucketed [`crate::grid::GridCsr`], so each frontier
+//!   edge is traversed exactly once per iteration. Sources read the
+//!   immutable `metadata_prev` snapshot, so a destination's update
+//!   sequence depends only on the edges that target it — every worker
+//!   observes exactly the serial subsequence for its vertices,
 //!   preserving order-sensitive results (PageRank's float
 //!   accumulation, cost `writes` counts) bit for bit. Costs are
-//!   charged from the full per-task degrees in both strategies, so
-//!   the simulated device cannot tell them apart; only the *host*
-//!   edge-traversal meter ([`RunReport::edges_examined`]) differs.
+//!   charged from the full per-task degrees, so the simulated device
+//!   sees the serial work.
 //! * *Pull compute, classification, candidate sweeps, degree sums and
 //!   the ballot scan are task-chunked.* Contiguous chunks concatenated
 //!   in worker order reproduce the serial order exactly.
@@ -54,62 +50,20 @@
 //!   in serial order (or charged from per-worker partitions via
 //!   [`GpuExecutor::run_kernel_parts`], which preserves the logical
 //!   sequence), so the simulated device sees the same work either way.
-//!
-//! # Frontier representations
-//!
-//! [`crate::config::FrontierRepr`] selects, orthogonally to the exec
-//! mode, how the host represents set-shaped frontier state — under the
-//! same bit-equality contract (`tests/frontier_equivalence.rs`). In
-//! `Bitmap` mode the changed-vertex set, the aggregation-pull
-//! candidate dedup and push-mode first-change detection live in
-//! [`FrontierBitmap`]s (one word per 64 vertices), the ballot scan
-//! skips all-zero changed words before touching metadata
-//! ([`ballot::scan_range_sparse`]), parallel push records changes as
-//! atomic-free bit sets over word-aligned destination shards, and the
-//! parallel ballot partitions on word boundaries. In bitmap mode the
-//! engine additionally drains the online filter's thread bins
-//! *directly* — degree sums, classification and aggregation-pull
-//! marking read the duplicate-carrying record sequence straight out of
-//! the bins, so the concatenated worklist is never materialized. The
-//! serial path streams [`ThreadBins::for_each_entry`]; parallel
-//! workers take contiguous concatenation-position ranges through the
-//! sealed per-bin prefix offsets
-//! ([`ThreadBins::for_each_entry_in`]) and merge in worker order,
-//! which is the concatenation order.
-//!
-//! # Metadata layouts
-//!
-//! [`crate::config::MetadataLayout`] selects, orthogonally to both
-//! knobs above, how the host lays out the `metadata_prev`/
-//! `metadata_curr` pair — again under the bit-equality contract. In
-//! `Chunked` mode the pair lives in
-//! [`MetadataStore::Chunked`] (64-byte-aligned, padded
-//! to whole 32-vertex warp chunks; two chunks = one bitmap word), the
-//! ballot scan and the pull-vote candidate sweep run fixed-width
-//! per-chunk lane loops ([`ballot::scan_range_chunked`],
-//! [`Engine::vote_candidates`]), the bitmap publish step copies whole
-//! chunks gated by the changed-word bitmap, and every parallel
-//! partition over metadata (ballot ranges, candidate sweeps, push
-//! destination fences) falls on chunk boundaries so no worker ever
-//! splits a chunk.
 
 use crate::acc::{AccProgram, CombineKind, DirectionCtx};
 use crate::checkpoint::RunCheckpoint;
-use crate::config::{DirectionPolicy, EngineConfig, FrontierRepr, MetadataLayout, PushStrategy};
+use crate::config::{DirectionPolicy, EngineConfig};
 use crate::error::SimdxError;
 use crate::fault::{self, FaultSite};
 use crate::filters::{ballot, online, FilterKind};
-use crate::frontier::{
-    BitSink, BitmapWordsMut, ChangeSink, FrontierBitmap, ListSink, ThreadBins, Worklists, WORD_BITS,
-};
+use crate::frontier::{ThreadBins, Worklists};
 use crate::fusion::{FusionPlan, KernelRole};
-use crate::grid::{GridCsr, ShardCsr};
+use crate::grid::ShardCsr;
 use crate::jit::{ActivationLog, IterationRecord, JitController};
-use crate::metadata::{MetadataStore, CHUNK_LANES};
 use crate::metrics::{RunReport, RunResult};
 use crate::par::{chunk_range, chunk_range_aligned, WorkerPool};
-use crate::scratch::{IterScratch, PushFences, RecordEntry, WorkerScratch};
-use crate::session::Runtime;
+use crate::scratch::{IterScratch, PushShards, RecordEntry, WorkerScratch};
 use crate::supervise::{Supervisor, POLL_STRIDE};
 use simdx_gpu::{Cost, GpuExecutor, SchedUnit};
 use simdx_graph::csr::{Csr, Direction};
@@ -119,23 +73,17 @@ use simdx_graph::{Graph, VertexId, Weight};
 ///
 /// The session API ([`crate::session::BoundGraph`]) owns these across
 /// queries — the pool outlives runs, the scratch arenas are reused, the
-/// push fences are computed once at bind time. The deprecated one-shot
-/// [`Engine::run`] materializes them fresh per call.
+/// push shards are computed once at bind time.
 pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     /// Worker pool backing `ExecMode::Parallel` (`None` = serial path).
     pub pool: Option<&'a WorkerPool>,
     /// Reusable scratch arenas; worker slots must match the pool width.
     pub scratch: &'a mut IterScratch<M>,
-    /// Bind-time destination-shard fences for parallel push. Must be
-    /// `Some` whenever `pool` is — `Runtime::bind` computes them for
-    /// every parallel runtime, so a parallel run never derives them
+    /// Bind-time push sharding (destination fences and grid CSR). Must
+    /// be `Some` whenever `pool` is — `Runtime::bind` computes it for
+    /// every parallel runtime, so a parallel run never derives it
     /// mid-query. Serial runs carry `None` (never read).
-    pub fences: Option<&'a PushFences>,
-    /// Bind-time destination-bucketed grid CSR. Must be `Some`
-    /// whenever `pool` is and the config selects
-    /// [`PushStrategy::Grid`] — again precomputed by `Runtime::bind`.
-    /// Serial and scan-strategy runs carry `None` (never read).
-    pub grid: Option<&'a GridCsr>,
+    pub shards: Option<&'a PushShards>,
     /// Per-run iteration cap (the run builder can override the
     /// config's).
     pub max_iterations: u32,
@@ -157,70 +105,14 @@ pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     pub resume: Option<RunCheckpoint<M>>,
 }
 
-/// The one-shot SIMD-X engine: a program, a graph and a configuration.
-///
-/// Deprecated shim: every call to [`Engine::run`] builds a
-/// [`crate::session::Runtime`] (worker pool + scratch arenas), binds
-/// the graph and executes a single query — exactly the per-query setup
-/// cost the session API exists to amortize. New code should hold a
-/// `Runtime`, bind once and run many queries:
-///
-/// ```
-/// # use simdx_core::prelude::*;
-/// # use simdx_graph::{EdgeList, Graph};
-/// # let graph = Graph::directed_from_edges(EdgeList::from_pairs(vec![(0, 1)]));
-/// let runtime = Runtime::new(EngineConfig::unscaled())?;
-/// let bound = runtime.bind(&graph);
-/// # let _ = bound;
-/// # Ok::<(), SimdxError>(())
-/// ```
-pub struct Engine<'g, P: AccProgram> {
-    program: P,
-    graph: &'g Graph,
-    config: EngineConfig,
-}
+/// The SIMD-X engine loop for one ACC program type. Stateless: the
+/// session API ([`crate::session::BoundGraph`]) owns every resource a
+/// run borrows through [`SessionCtx`].
+pub(crate) struct Engine<P>(std::marker::PhantomData<P>);
 
-impl<'g, P: AccProgram> Engine<'g, P> {
-    /// Creates a one-shot engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a `session::Runtime` once and use `runtime.bind(graph).run(program)`"
-    )]
-    pub fn new(program: P, graph: &'g Graph, config: EngineConfig) -> Self {
-        Self {
-            program,
-            graph,
-            config,
-        }
-    }
-
-    /// The program.
-    pub fn program(&self) -> &P {
-        &self.program
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Runs the program to convergence, returning final metadata and the
-    /// run report.
-    ///
-    /// Thin shim over the session API: builds a fresh [`Runtime`]
-    /// (validating the config), binds the graph and executes one query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `runtime.bind(graph).run(program).execute()` to amortize pool and scratch setup"
-    )]
-    pub fn run(&mut self) -> Result<RunResult<P::Meta>, SimdxError> {
-        let runtime = Runtime::new(self.config.clone())?;
-        runtime.bind(self.graph).run(&self.program).execute()
-    }
-
-    /// One engine run over borrowed session resources — the shared core
-    /// of the deprecated one-shot [`Engine::run`] and the session API's
-    /// [`crate::session::RunBuilder::execute`].
+impl<P: AccProgram> Engine<P> {
+    /// One engine run over borrowed session resources — the core of the
+    /// session API's [`crate::session::RunBuilder::execute`].
     pub(crate) fn run_session(
         program: &P,
         graph: &Graph,
@@ -230,8 +122,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         let SessionCtx {
             pool,
             scratch,
-            fences: bound_fences,
-            grid: bound_grid,
+            shards,
             max_iterations,
             mut observer,
             supervisor,
@@ -268,25 +159,12 @@ impl<'g, P: AccProgram> Engine<'g, P> {
             mgmt_tasks,
             vote_scan_tasks,
             changed,
-            changed_bits,
-            cand_bits,
             dirty_stamp,
             records,
             bins,
             next,
             workers,
         } = scratch;
-
-        // Frontier representation: bitmap mode sizes its reusable
-        // bitmaps once here; both are maintained empty between
-        // iterations (changed bits drain at publication, candidate
-        // bits drain into the sorted candidate list).
-        let repr = config.frontier;
-        if repr == FrontierRepr::Bitmap {
-            changed_bits.reset(n);
-            cand_bits.reset(n);
-        }
-        let layout = config.layout;
 
         // Fresh runs initialize from the program; resumed runs restore
         // the boundary snapshot verbatim — metadata, frontier, log,
@@ -299,11 +177,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     debug_assert_eq!(
                         cp.num_vertices as usize, n,
                         "resume validated against the wrong graph"
-                    );
-                    debug_assert_eq!(
-                        cp.meta.layout(),
-                        layout,
-                        "resume validated against the wrong layout"
                     );
                     executor.restore_stats(cp.stats);
                     plan.restore_launch_state(cp.fusion.0, cp.fusion.1);
@@ -324,7 +197,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         "init must produce one metadata per vertex"
                     );
                     (
-                        MetadataStore::from_vec(layout, init_meta),
+                        init_meta,
                         frontier,
                         ActivationLog::default(),
                         Direction::Push,
@@ -336,27 +209,17 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         // At a boundary `prev == curr` (the publish step just ran), so
         // one snapshot copy restores both stores on resume.
         let mut prev = curr.clone();
-        // Bitmap mode's worklist drain: when the previous iteration's
-        // online filter left the next frontier in the thread bins,
-        // this flag redirects every frontier consumer to
-        // `ThreadBins::for_each_entry` (serial) or the sealed-prefix
-        // `ThreadBins::for_each_entry_in` ranges (parallel).
-        let mut frontier_in_bins = false;
         // Host work meter: every edge the compute kernels actually
         // traverse (push scatters, pull gathers). Deliberately outside
         // the bit-equality contract — it is how the tests pin the
-        // scan strategy's threads× redundancy and the grid strategy's
-        // work-optimality. A resumed run continues the checkpoint's
-        // meter so the final report matches the uninterrupted run.
+        // parallel push's work-optimality. A resumed run continues the
+        // checkpoint's meter so the final report matches the
+        // uninterrupted run.
         let mut edges_examined = init_edges;
 
         loop {
-            let frontier_len = if frontier_in_bins {
-                bins.total_recorded()
-            } else {
-                frontier.len() as u64
-            };
-            if frontier_len == 0 || program.converged(iteration, frontier_len, curr.as_slice()) {
+            let frontier_len = frontier.len() as u64;
+            if frontier_len == 0 || program.converged(iteration, frontier_len, &curr) {
                 break;
             }
             // Boundary capture: overwrite the caller's slot with a
@@ -364,10 +227,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
             // *before* the iteration-limit check and the supervision
             // boundary so every abort that can fire this iteration —
             // limit, cancel, deadline, budget, or a panic mid-sweep —
-            // leaves the slot resumable. A bins-resident frontier is
-            // materialized in concatenation order (its concatenation
-            // costs were charged when the bins were filled, so the
-            // resumed list-resident replay stays bit-equal).
+            // leaves the slot resumable.
             if let Some(slot) = ckpt_slot.as_deref_mut() {
                 fault::hit(FaultSite::Capture);
                 match slot {
@@ -375,16 +235,9 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     // in place, reusing its metadata / frontier / log
                     // allocations — captures after the first cost a few
                     // memcpys, no allocator traffic.
-                    Some(cp)
-                        if cp.meta.layout() == curr.layout() && cp.meta.len() == curr.len() =>
-                    {
-                        cp.meta.as_mut_slice().copy_from_slice(curr.as_slice());
-                        cp.frontier.clear();
-                        if frontier_in_bins {
-                            bins.for_each_entry(|v| cp.frontier.push(v));
-                        } else {
-                            cp.frontier.extend_from_slice(&frontier);
-                        }
+                    Some(cp) if cp.meta.len() == curr.len() => {
+                        cp.meta.copy_from_slice(&curr);
+                        cp.frontier.clone_from(&frontier);
                         cp.log.clone_from(&log);
                         cp.prev_dir = prev_dir;
                         cp.iteration = iteration;
@@ -393,17 +246,11 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         cp.fusion = plan.launch_state();
                     }
                     _ => {
-                        let mut snap_frontier = Vec::with_capacity(frontier_len as usize);
-                        if frontier_in_bins {
-                            bins.for_each_entry(|v| snap_frontier.push(v));
-                        } else {
-                            snap_frontier.extend_from_slice(&frontier);
-                        }
                         *slot = Some(RunCheckpoint {
                             algorithm: program.name().to_string(),
                             num_vertices: n as u32,
                             meta: curr.clone(),
-                            frontier: snap_frontier,
+                            frontier: frontier.clone(),
                             log: log.clone(),
                             prev_dir,
                             iteration,
@@ -428,31 +275,9 @@ impl<'g, P: AccProgram> Engine<'g, P> {
 
             // 1. Direction.
             let out_csr = graph.out();
-            let degree_sum: u64 = match (pool, frontier_in_bins) {
-                (None, true) => {
-                    let mut sum = 0u64;
-                    bins.for_each_entry(|v| sum += out_csr.degree(v) as u64);
-                    sum
-                }
-                (None, false) => frontier.iter().map(|&v| out_csr.degree(v) as u64).sum(),
-                (Some(pool), true) => {
-                    // Parallel worklist drain: workers split the
-                    // concatenation order by position through the
-                    // sealed per-bin prefix, so no list is ever
-                    // materialized in either exec mode.
-                    let bins = &*bins;
-                    let total = bins.total_recorded() as usize;
-                    pool.try_for_each_worker(workers, |w, ws| {
-                        let (lo, hi) = chunk_range(total, threads, w);
-                        let mut sum = 0u64;
-                        bins.for_each_entry_in(lo as u64, hi as u64, |v| {
-                            sum += out_csr.degree(v) as u64;
-                        });
-                        ws.degree_sum = sum;
-                    })?;
-                    workers.iter().map(|ws| ws.degree_sum).sum()
-                }
-                (Some(pool), false) => {
+            let degree_sum: u64 = match pool {
+                None => frontier.iter().map(|&v| out_csr.degree(v) as u64).sum(),
+                Some(pool) => {
                     let frontier = &frontier;
                     pool.try_for_each_worker(workers, |w, ws| {
                         let (lo, hi) = chunk_range(frontier.len(), threads, w);
@@ -484,48 +309,12 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 .last()
                 .is_none_or(|r| r.filter == FilterKind::Ballot);
             match dir {
-                Direction::Push => {
-                    if frontier_in_bins {
-                        // Bitmap worklist drain: classify straight out
-                        // of the bins in concatenation order — same
-                        // entries, same duplicates, same order as the
-                        // materialized list would give. Parallel
-                        // workers take contiguous position ranges and
-                        // merge in worker order, which *is* that
-                        // order.
-                        let thresholds = config.thresholds;
-                        match pool {
-                            None => {
-                                lists.clear();
-                                bins.for_each_entry(|v| {
-                                    lists.classify_one(v, scan_csr, thresholds)
-                                });
-                            }
-                            Some(pool) => {
-                                let bins = &*bins;
-                                let total = bins.total_recorded() as usize;
-                                pool.try_for_each_worker(workers, |w, ws| {
-                                    ws.lists.clear();
-                                    let (lo, hi) = chunk_range(total, threads, w);
-                                    bins.for_each_entry_in(lo as u64, hi as u64, |v| {
-                                        ws.lists.classify_one(v, scan_csr, thresholds)
-                                    });
-                                })?;
-                                lists.clear();
-                                for ws in workers.iter() {
-                                    lists.append(&ws.lists);
-                                }
-                            }
-                        }
-                    } else {
-                        match pool {
-                            None => lists.classify_into(&frontier, scan_csr, config.thresholds),
-                            Some(pool) => Self::classify_parallel(
-                                pool, threads, workers, lists, &frontier, scan_csr, config,
-                            )?,
-                        }
-                    }
-                }
+                Direction::Push => match pool {
+                    None => lists.classify_into(&frontier, scan_csr, config.thresholds),
+                    Some(pool) => Self::classify_parallel(
+                        pool, threads, workers, lists, &frontier, scan_csr, config,
+                    )?,
+                },
                 Direction::Pull => {
                     // Voting programs sweep every candidate (bottom-up
                     // BFS scans all unvisited vertices and terminates
@@ -538,39 +327,13 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     match program.combine_kind() {
                         CombineKind::Vote => {
                             match pool {
-                                None => {
-                                    Self::vote_candidates(
-                                        program,
-                                        curr.as_slice(),
-                                        0,
-                                        n,
-                                        layout,
-                                        cands,
-                                    );
-                                }
+                                None => Self::vote_candidates(program, &curr, 0, n, cands),
                                 Some(pool) => {
-                                    // Chunked layout: partition on
-                                    // chunk boundaries so no worker's
-                                    // fixed-width sweep splits a chunk
-                                    // (merged chunks in worker order
-                                    // are the serial order either
-                                    // way).
-                                    let align = match layout {
-                                        MetadataLayout::Flat => 1,
-                                        MetadataLayout::Chunked => CHUNK_LANES,
-                                    };
-                                    let curr = curr.as_slice();
+                                    let curr = &curr;
                                     pool.try_for_each_worker(workers, |w, ws| {
                                         ws.cands.clear();
-                                        let (lo, hi) = chunk_range_aligned(n, threads, w, align);
-                                        Self::vote_candidates(
-                                            program,
-                                            curr,
-                                            lo,
-                                            hi,
-                                            layout,
-                                            &mut ws.cands,
-                                        );
+                                        let (lo, hi) = chunk_range(n, threads, w);
+                                        Self::vote_candidates(program, curr, lo, hi, &mut ws.cands);
                                     })?;
                                     for ws in workers.iter() {
                                         cands.extend_from_slice(&ws.cands);
@@ -602,124 +365,53 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                             match pool {
                                 None => {
                                     mgmt_tasks.clear();
-                                    let curr_s = curr.as_slice();
-                                    match repr {
-                                        FrontierRepr::List => {
-                                            if dirty_stamp.len() != n {
-                                                dirty_stamp.clear();
-                                                dirty_stamp.resize(n, u32::MAX);
-                                            }
-                                            for &v in &frontier {
-                                                let nbrs = out_csr.neighbors(v);
-                                                for &u in nbrs {
-                                                    if dirty_stamp[u as usize] != iteration
-                                                        && program
-                                                            .pull_candidate(u, &curr_s[u as usize])
-                                                    {
-                                                        dirty_stamp[u as usize] = iteration;
-                                                        cands.push(u);
-                                                    }
-                                                }
-                                                mgmt_tasks.push(Self::mark_cost(nbrs.len()));
-                                            }
-                                            cands.sort_unstable();
-                                        }
-                                        FrontierRepr::Bitmap => {
-                                            // Candidate dedup is a bit
-                                            // test, and draining the
-                                            // bitmap yields the sorted
-                                            // candidate list with no
-                                            // sort — same set, same
-                                            // ascending order as the
-                                            // stamp + sort path. The
-                                            // frontier itself may still
-                                            // live in the thread bins
-                                            // (worklist drain), whose
-                                            // entry order matches the
-                                            // materialized list.
-                                            let mut mark = |v: VertexId| {
-                                                let nbrs = out_csr.neighbors(v);
-                                                for &u in nbrs {
-                                                    if !cand_bits.test(u)
-                                                        && program
-                                                            .pull_candidate(u, &curr_s[u as usize])
-                                                    {
-                                                        cand_bits.set(u);
-                                                    }
-                                                }
-                                                mgmt_tasks.push(Self::mark_cost(nbrs.len()));
-                                            };
-                                            if frontier_in_bins {
-                                                bins.for_each_entry(&mut mark);
-                                            } else {
-                                                for &v in frontier.iter() {
-                                                    mark(v);
-                                                }
-                                            }
-                                            cand_bits.drain_into(cands);
-                                        }
+                                    if dirty_stamp.len() != n {
+                                        dirty_stamp.clear();
+                                        dirty_stamp.resize(n, u32::MAX);
                                     }
+                                    for &v in &frontier {
+                                        let nbrs = out_csr.neighbors(v);
+                                        for &u in nbrs {
+                                            if dirty_stamp[u as usize] != iteration
+                                                && program.pull_candidate(u, &curr[u as usize])
+                                            {
+                                                dirty_stamp[u as usize] = iteration;
+                                                cands.push(u);
+                                            }
+                                        }
+                                        mgmt_tasks.push(Self::mark_cost(nbrs.len()));
+                                    }
+                                    cands.sort_unstable();
                                     let k = plan.kernel(dir, KernelRole::TaskMgmt);
                                     executor.run_kernel(&k, SchedUnit::Warp, mgmt_tasks, false);
                                 }
                                 Some(pool) => {
-                                    let curr = curr.as_slice();
+                                    let curr = &curr;
                                     let frontier = &frontier;
-                                    // The frontier may live in the
-                                    // thread bins (worklist drain):
-                                    // workers then take contiguous
-                                    // concatenation-position ranges
-                                    // through the sealed prefix.
-                                    let bins = &*bins;
-                                    let bins_total = bins.total_recorded() as usize;
                                     pool.try_for_each_worker(workers, |w, ws| {
                                         ws.cands.clear();
                                         ws.tasks.clear();
-                                        let WorkerScratch { cands, tasks, .. } = ws;
-                                        let mut mark = |v: VertexId| {
+                                        let (lo, hi) = chunk_range(frontier.len(), threads, w);
+                                        for &v in &frontier[lo..hi] {
                                             let nbrs = out_csr.neighbors(v);
                                             for &u in nbrs {
                                                 if program.pull_candidate(u, &curr[u as usize]) {
-                                                    cands.push(u);
+                                                    ws.cands.push(u);
                                                 }
                                             }
-                                            tasks.push(Self::mark_cost(nbrs.len()));
-                                        };
-                                        if frontier_in_bins {
-                                            let (lo, hi) = chunk_range(bins_total, threads, w);
-                                            bins.for_each_entry_in(lo as u64, hi as u64, mark);
-                                        } else {
-                                            let (lo, hi) = chunk_range(frontier.len(), threads, w);
-                                            for &v in &frontier[lo..hi] {
-                                                mark(v);
-                                            }
+                                            ws.tasks.push(Self::mark_cost(nbrs.len()));
                                         }
                                     })?;
                                     // Workers may discover the same
                                     // candidate from different frontier
-                                    // chunks. List mode sorts + dedups;
-                                    // bitmap mode merges through the
-                                    // candidate bitmap instead — both
-                                    // reproduce the serial
-                                    // stamp-deduplicated sorted list
-                                    // exactly.
-                                    match repr {
-                                        FrontierRepr::List => {
-                                            for ws in workers.iter() {
-                                                cands.extend_from_slice(&ws.cands);
-                                            }
-                                            cands.sort_unstable();
-                                            cands.dedup();
-                                        }
-                                        FrontierRepr::Bitmap => {
-                                            for ws in workers.iter() {
-                                                for &u in &ws.cands {
-                                                    cand_bits.set(u);
-                                                }
-                                            }
-                                            cand_bits.drain_into(cands);
-                                        }
+                                    // chunks; sort + dedup reproduces
+                                    // the serial stamp-deduplicated
+                                    // sorted list exactly.
+                                    for ws in workers.iter() {
+                                        cands.extend_from_slice(&ws.cands);
                                     }
+                                    cands.sort_unstable();
+                                    cands.dedup();
                                     let k = plan.kernel(dir, KernelRole::TaskMgmt);
                                     executor.run_kernel_parts(
                                         &k,
@@ -757,157 +449,55 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 let width = unit.threads(config.threads_per_cta) as u64;
                 match (pool, dir) {
                     (None, _) => {
-                        match repr {
-                            FrontierRepr::List => Self::serial_unit(
-                                program,
-                                dir,
-                                list,
-                                scan_csr,
-                                prev.as_slice(),
-                                curr.as_mut_slice(),
-                                bins,
-                                &mut ListSink(changed),
-                                tasks,
-                                record,
-                                width,
-                                task_base,
-                                frontier_sorted,
-                                &mut edges_examined,
-                                supervisor,
-                            ),
-                            FrontierRepr::Bitmap => Self::serial_unit(
-                                program,
-                                dir,
-                                list,
-                                scan_csr,
-                                prev.as_slice(),
-                                curr.as_mut_slice(),
-                                bins,
-                                &mut BitSink(changed_bits.view_mut()),
-                                tasks,
-                                record,
-                                width,
-                                task_base,
-                                frontier_sorted,
-                                &mut edges_examined,
-                                supervisor,
-                            ),
-                        }
+                        Self::serial_unit(
+                            program,
+                            dir,
+                            list,
+                            scan_csr,
+                            &prev,
+                            &mut curr,
+                            bins,
+                            changed,
+                            tasks,
+                            record,
+                            width,
+                            task_base,
+                            frontier_sorted,
+                            &mut edges_examined,
+                            supervisor,
+                        );
                         executor.run_kernel(&kernel, unit, tasks, launch);
                     }
                     (Some(pool), Direction::Push) => {
-                        // Bind time installs the fences for every
-                        // parallel-capable config; a missing set means
-                        // the config and the bound state diverged.
-                        let Some(fences) = bound_fences else {
+                        // Bind time installs the shards for every
+                        // parallel runtime; a missing set means the
+                        // config and the bound state diverged.
+                        let Some(shards) = shards else {
                             return Err(SimdxError::InvalidConfig {
-                                reason: "parallel push run is missing its bind-time fences"
+                                reason: "parallel push run is missing its bind-time shards"
                                     .to_string(),
                             });
                         };
-                        let fences: &PushFences = fences;
-                        match (config.push, repr) {
-                            (PushStrategy::Scan, FrontierRepr::List) => Self::push_unit_parallel(
-                                program,
-                                pool,
-                                workers,
-                                list,
-                                scan_csr,
-                                prev.as_slice(),
-                                curr.as_mut_slice(),
-                                &fences.verts,
-                                tasks,
-                                changed,
-                                records,
-                                bins,
-                                record,
-                                width,
-                                task_base,
-                                frontier_sorted,
-                                &mut edges_examined,
-                                supervisor,
-                            )?,
-                            (PushStrategy::Scan, FrontierRepr::Bitmap) => {
-                                Self::push_unit_parallel_bits(
-                                    program,
-                                    pool,
-                                    workers,
-                                    list,
-                                    scan_csr,
-                                    prev.as_slice(),
-                                    curr.as_mut_slice(),
-                                    fences,
-                                    changed_bits,
-                                    tasks,
-                                    records,
-                                    bins,
-                                    record,
-                                    width,
-                                    task_base,
-                                    frontier_sorted,
-                                    &mut edges_examined,
-                                    supervisor,
-                                )?
-                            }
-                            (PushStrategy::Grid, FrontierRepr::List) => {
-                                let Some(grid) = bound_grid else {
-                                    return Err(SimdxError::InvalidConfig {
-                                        reason: "grid push run is missing its bind-time grid CSR"
-                                            .to_string(),
-                                    });
-                                };
-                                Self::push_unit_parallel_grid(
-                                    program,
-                                    pool,
-                                    workers,
-                                    list,
-                                    scan_csr,
-                                    grid,
-                                    prev.as_slice(),
-                                    curr.as_mut_slice(),
-                                    &fences.verts,
-                                    tasks,
-                                    changed,
-                                    records,
-                                    bins,
-                                    record,
-                                    width,
-                                    task_base,
-                                    frontier_sorted,
-                                    &mut edges_examined,
-                                    supervisor,
-                                )?
-                            }
-                            (PushStrategy::Grid, FrontierRepr::Bitmap) => {
-                                let Some(grid) = bound_grid else {
-                                    return Err(SimdxError::InvalidConfig {
-                                        reason: "grid push run is missing its bind-time grid CSR"
-                                            .to_string(),
-                                    });
-                                };
-                                Self::push_unit_parallel_grid_bits(
-                                    program,
-                                    pool,
-                                    workers,
-                                    list,
-                                    scan_csr,
-                                    grid,
-                                    prev.as_slice(),
-                                    curr.as_mut_slice(),
-                                    fences,
-                                    changed_bits,
-                                    tasks,
-                                    records,
-                                    bins,
-                                    record,
-                                    width,
-                                    task_base,
-                                    frontier_sorted,
-                                    &mut edges_examined,
-                                    supervisor,
-                                )?
-                            }
-                        }
+                        Self::push_unit_parallel(
+                            program,
+                            pool,
+                            workers,
+                            list,
+                            scan_csr,
+                            shards,
+                            &prev,
+                            &mut curr,
+                            tasks,
+                            changed,
+                            records,
+                            bins,
+                            record,
+                            width,
+                            task_base,
+                            frontier_sorted,
+                            &mut edges_examined,
+                            supervisor,
+                        )?;
                         executor.run_kernel(&kernel, unit, tasks, launch);
                     }
                     (Some(pool), Direction::Pull) => {
@@ -918,11 +508,9 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                             workers,
                             list,
                             scan_csr,
-                            prev.as_slice(),
-                            curr.as_mut_slice(),
-                            repr,
+                            &prev,
+                            &mut curr,
                             changed,
-                            changed_bits,
                             bins,
                             record,
                             width,
@@ -959,120 +547,38 @@ impl<'g, P: AccProgram> Engine<'g, P> {
             let decision = jit.decide(bins, iteration)?;
             let tm_kernel = plan.kernel(dir, KernelRole::TaskMgmt);
             let tm_launch = plan.needs_launch(dir);
-            // Bitmap worklist drain: leave the online filter's next
-            // frontier in the bins and only charge the concatenation
-            // kernel — identical costs, no materialized list. Parallel
-            // frontier consumers index by concatenation position
-            // through the sealed per-bin prefix offsets.
-            let drain_bins_next = decision == FilterKind::Online && repr == FrontierRepr::Bitmap;
             match decision {
                 FilterKind::Online => {
-                    if drain_bins_next {
-                        online::charge_concatenation(
-                            bins,
-                            &mut executor,
-                            &tm_kernel,
-                            tm_launch,
-                            mgmt_tasks,
-                        );
-                        next.clear();
-                    } else {
-                        online::concatenate_into(
-                            bins,
-                            &mut executor,
-                            &tm_kernel,
-                            tm_launch,
-                            mgmt_tasks,
-                            next,
-                        );
-                    }
+                    online::concatenate_into(
+                        bins,
+                        &mut executor,
+                        &tm_kernel,
+                        tm_launch,
+                        mgmt_tasks,
+                        next,
+                    );
                 }
                 FilterKind::Ballot => match pool {
                     None => {
                         fault::hit(FaultSite::Ballot);
                         let ws = &mut workers[0].warp;
                         ws.clear();
-                        match repr {
-                            FrontierRepr::List => {
-                                ballot::scan_range_layout(
-                                    program,
-                                    curr.as_slice(),
-                                    prev.as_slice(),
-                                    0,
-                                    n,
-                                    layout,
-                                    ws,
-                                );
-                            }
-                            FrontierRepr::Bitmap => {
-                                // The changed bitmap is the scan's
-                                // occupancy: all-zero words (64
-                                // untouched vertices) are charged
-                                // without loading metadata.
-                                ballot::scan_range_sparse_layout(
-                                    program,
-                                    curr.as_slice(),
-                                    prev.as_slice(),
-                                    0,
-                                    n,
-                                    changed_bits.words(),
-                                    layout,
-                                    ws,
-                                );
-                            }
-                        }
+                        ballot::scan_range(program, &curr, &prev, 0, n, ws);
                         executor.run_kernel(&tm_kernel, SchedUnit::Warp, &ws.tasks, tm_launch);
                         std::mem::swap(next, &mut ws.active);
                     }
                     Some(pool) => {
-                        let curr = curr.as_slice();
-                        let prev = prev.as_slice();
-                        match repr {
-                            FrontierRepr::List => {
-                                // Partition on warp-chunk (32)
-                                // boundaries, which are also metadata
-                                // chunk boundaries in the chunked
-                                // layout.
-                                pool.try_for_each_worker(workers, |w, ws| {
-                                    fault::hit(FaultSite::Ballot);
-                                    ws.warp.clear();
-                                    let (lo, hi) = chunk_range_aligned(n, threads, w, 32);
-                                    ballot::scan_range_layout(
-                                        program,
-                                        curr,
-                                        prev,
-                                        lo,
-                                        hi,
-                                        layout,
-                                        &mut ws.warp,
-                                    );
-                                })?;
-                            }
-                            FrontierRepr::Bitmap => {
-                                // Partition on occupancy-word (64)
-                                // boundaries — the word-level analogue
-                                // of the list scan's warp alignment
-                                // (and two metadata chunks) — so every
-                                // worker's range covers whole bitmap
-                                // words.
-                                let occ = changed_bits.words();
-                                pool.try_for_each_worker(workers, |w, ws| {
-                                    fault::hit(FaultSite::Ballot);
-                                    ws.warp.clear();
-                                    let (lo, hi) = chunk_range_aligned(n, threads, w, WORD_BITS);
-                                    ballot::scan_range_sparse_layout(
-                                        program,
-                                        curr,
-                                        prev,
-                                        lo,
-                                        hi,
-                                        occ,
-                                        layout,
-                                        &mut ws.warp,
-                                    );
-                                })?;
-                            }
-                        }
+                        let curr = &curr;
+                        let prev = &prev;
+                        // Partition on warp-chunk (32) boundaries so the
+                        // concatenated partitions are the one-scan
+                        // chunk sequence.
+                        pool.try_for_each_worker(workers, |w, ws| {
+                            fault::hit(FaultSite::Ballot);
+                            ws.warp.clear();
+                            let (lo, hi) = chunk_range_aligned(n, threads, w, 32);
+                            ballot::scan_range(program, curr, prev, lo, hi, &mut ws.warp);
+                        })?;
                         next.clear();
                         for ws in workers.iter() {
                             next.extend_from_slice(&ws.warp.active);
@@ -1086,53 +592,15 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     }
                 },
             };
-            frontier_in_bins = drain_bins_next;
-            if drain_bins_next && pool.is_some() {
-                // Index the concatenation order once so next
-                // iteration's workers can binary-search their ranges.
-                bins.seal_prefix();
-            }
             if plan.uses_global_barrier() {
                 executor.charge_barrier();
             }
 
             // 6. Publish metadata_prev for the changed vertices.
-            match repr {
-                FrontierRepr::List => {
-                    let prev_s = prev.as_mut_slice();
-                    let curr_s = curr.as_slice();
-                    for &v in changed.iter() {
-                        prev_s[v as usize] = curr_s[v as usize];
-                    }
-                    changed.clear();
-                }
-                FrontierRepr::Bitmap => {
-                    // One sweep publishes and resets: non-zero words
-                    // carry the changed vertices, zero words are
-                    // skipped 64 vertices at a time.
-                    let prev_s = prev.as_mut_slice();
-                    let curr_s = curr.as_slice();
-                    match layout {
-                        MetadataLayout::Flat => {
-                            changed_bits.drain_for_each(|v| prev_s[v as usize] = curr_s[v as usize])
-                        }
-                        MetadataLayout::Chunked => {
-                            // Chunked layout: any set bit publishes
-                            // its word's two 32-vertex chunks
-                            // wholesale — a straight-line block copy
-                            // instead of a per-bit scatter.
-                            // Value-equal because an unchanged lane
-                            // already satisfies `prev == curr`, so
-                            // copying it is a no-op.
-                            changed_bits.drain_nonzero_words(|word| {
-                                let lo = word * WORD_BITS;
-                                let hi = (lo + WORD_BITS).min(n);
-                                prev_s[lo..hi].copy_from_slice(&curr_s[lo..hi]);
-                            });
-                        }
-                    }
-                }
+            for &v in changed.iter() {
+                prev[v as usize] = curr[v as usize];
             }
+            changed.clear();
 
             log.records.push(IterationRecord {
                 iteration,
@@ -1157,7 +625,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
 
         let elapsed_ms = executor.elapsed_ms();
         Ok(RunResult {
-            meta: curr.into_vec(),
+            meta: curr,
             report: RunReport {
                 algorithm: program.name().to_string(),
                 device: executor.device().name,
@@ -1174,54 +642,18 @@ impl<'g, P: AccProgram> Engine<'g, P> {
     }
 
     /// Appends the pull-vote candidates in `[lo, hi)` of the metadata
-    /// sweep to `out`. The flat layout walks vertex by vertex; the
-    /// chunked layout sweeps full 32-vertex chunks through `[M; 32]`
-    /// windows with a fixed-width lane loop (the candidate-scan
-    /// analogue of [`ballot::scan_range_chunked`]) and finishes the
-    /// partial tail scalar — identical candidates in identical
-    /// ascending order either way, so the layouts stay bit-equal.
+    /// sweep to `out`, in ascending vertex order.
     fn vote_candidates(
         program: &P,
         curr: &[P::Meta],
         lo: usize,
         hi: usize,
-        layout: MetadataLayout,
         out: &mut Vec<VertexId>,
     ) {
-        match layout {
-            MetadataLayout::Flat => {
-                for (i, m) in curr[lo..hi].iter().enumerate() {
-                    let v = (lo + i) as VertexId;
-                    if program.pull_candidate(v, m) {
-                        out.push(v);
-                    }
-                }
-            }
-            MetadataLayout::Chunked => {
-                let mut base = lo;
-                while base + CHUNK_LANES <= hi {
-                    // The loop bound guarantees a full window; if the
-                    // conversion ever misses, the scalar tail below
-                    // covers `[base, hi)` with identical candidates.
-                    let Ok(c) =
-                        <&[P::Meta; CHUNK_LANES]>::try_from(&curr[base..base + CHUNK_LANES])
-                    else {
-                        break;
-                    };
-                    for (lane, m) in c.iter().enumerate() {
-                        let v = (base + lane) as VertexId;
-                        if program.pull_candidate(v, m) {
-                            out.push(v);
-                        }
-                    }
-                    base += CHUNK_LANES;
-                }
-                for (i, m) in curr[base..hi].iter().enumerate() {
-                    let v = (base + i) as VertexId;
-                    if program.pull_candidate(v, m) {
-                        out.push(v);
-                    }
-                }
+        for (i, m) in curr[lo..hi].iter().enumerate() {
+            let v = (lo + i) as VertexId;
+            if program.pull_candidate(v, m) {
+                out.push(v);
             }
         }
     }
@@ -1249,12 +681,9 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         Ok(())
     }
 
-    /// The serial compute-kernel loop over one worklist, generic over
-    /// the first-change representation (`ListSink` compares metadata,
-    /// `BitSink` tests the changed bitmap — see
-    /// [`crate::frontier::ChangeSink`]).
+    /// The serial compute-kernel loop over one worklist.
     #[allow(clippy::too_many_arguments)]
-    fn serial_unit<C: ChangeSink<P::Meta>>(
+    fn serial_unit(
         program: &P,
         dir: Direction,
         list: &[VertexId],
@@ -1262,7 +691,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut C,
+        changed: &mut Vec<VertexId>,
         tasks: &mut Vec<Cost>,
         record: bool,
         width: u64,
@@ -1292,7 +721,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     prev,
                     curr,
                     bins,
-                    chg,
+                    changed,
                     record,
                     width,
                     task_counter,
@@ -1306,7 +735,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     prev,
                     curr,
                     bins,
-                    chg,
+                    changed,
                     record,
                     width,
                     task_counter,
@@ -1317,12 +746,15 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         }
     }
 
-    /// One push-mode compute-kernel loop under the scan-and-skip
-    /// strategy (see the module docs): every worker replays the whole
-    /// task list but applies only the edges landing in its contiguous
-    /// vertex shard of `curr`, then per-task applied counts, changed
-    /// vertices and deferred filter records are merged
-    /// deterministically.
+    /// One push-mode compute-kernel loop: worker `s` iterates only
+    /// `grid.shard(s)` — the bind-time bucket of edges whose
+    /// destination falls in its metadata shard — so each frontier edge
+    /// is traversed exactly once per iteration. Costs are prefilled
+    /// from the full per-task degrees; per-task applied counts, changed
+    /// vertices and deferred filter records are then merged
+    /// deterministically: writes per task sum over shards, and the
+    /// record replay sorts by (task, edge) so the bins see the serial
+    /// sequence.
     #[allow(clippy::too_many_arguments)]
     fn push_unit_parallel(
         program: &P,
@@ -1330,9 +762,9 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         workers: &mut [WorkerScratch<P::Meta>],
         list: &[VertexId],
         csr: &Csr,
+        shards: &PushShards,
         prev: &[P::Meta],
         curr: &mut [P::Meta],
-        bounds: &[u32],
         tasks: &mut Vec<Cost>,
         changed: &mut Vec<VertexId>,
         records: &mut Vec<RecordEntry>,
@@ -1344,202 +776,20 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         examined: &mut u64,
         sup: &Supervisor,
     ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
-        pool.try_for_each_worker_sharded(workers, curr, bounds, |_w, ws, off, curr_shard| {
-            ws.changed.clear();
-            let WorkerScratch {
-                changed,
-                records,
-                applied,
-                edges_examined,
-                ..
-            } = ws;
-            Self::push_replay_shard(
-                program,
-                list,
-                csr,
-                prev,
-                off,
-                curr_shard,
-                records,
-                applied,
-                edges_examined,
-                &mut ListSink(changed),
-                record,
-                width,
-                task_base,
-                sup,
-            );
-        })?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
-            changed.extend_from_slice(&ws.changed);
-            recs.extend_from_slice(&ws.records);
-        });
-        Ok(())
-    }
-
-    /// The bitmap-mode variant of [`Self::push_unit_parallel`]: the
-    /// destination fences are word-aligned, so each worker receives a
-    /// disjoint window of the changed bitmap's words alongside its
-    /// metadata shard and records first changes as **atomic-free bit
-    /// sets** — no per-worker changed list and no merge for the changed
-    /// set.
-    #[allow(clippy::too_many_arguments)]
-    fn push_unit_parallel_bits(
-        program: &P,
-        pool: &WorkerPool,
-        workers: &mut [WorkerScratch<P::Meta>],
-        list: &[VertexId],
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        fences: &PushFences,
-        changed_bits: &mut FrontierBitmap,
-        tasks: &mut Vec<Cost>,
-        records: &mut Vec<RecordEntry>,
-        bins: &mut ThreadBins,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-        sup: &Supervisor,
-    ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
-        pool.try_for_each_worker_sharded2(
+        tasks.clear();
+        for &v in list {
+            let (lo, hi) = csr.range(v);
+            tasks.push(Self::push_cost((hi - lo) as u64, 0, width, frontier_sorted));
+        }
+        let grid = &shards.grid;
+        pool.try_for_each_worker_sharded(
             workers,
             curr,
-            &fences.verts,
-            changed_bits.words_mut(),
-            &fences.words,
-            |_w, ws, off, curr_shard, word_off, word_shard| {
+            &shards.fences,
+            |w, ws, off, curr_shard| {
+                ws.changed.clear();
                 let WorkerScratch {
-                    records,
-                    applied,
-                    edges_examined,
-                    ..
-                } = ws;
-                Self::push_replay_shard(
-                    program,
-                    list,
-                    csr,
-                    prev,
-                    off,
-                    curr_shard,
-                    records,
-                    applied,
-                    edges_examined,
-                    &mut BitSink(BitmapWordsMut::new(word_off, word_shard)),
-                    record,
-                    width,
-                    task_base,
-                    sup,
-                );
-            },
-        )?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
-            recs.extend_from_slice(&ws.records);
-        });
-        Ok(())
-    }
-
-    /// One push-mode compute-kernel loop under the grid strategy:
-    /// worker `s` iterates only `grid.shard(s)` — the bind-time bucket
-    /// of edges whose destination falls in its metadata shard — so
-    /// each frontier edge is traversed exactly once per iteration
-    /// instead of once per worker. Costs are still prefetched from the
-    /// full per-task degrees and the merge path is shared with the
-    /// scan strategy, which is why the two are bit-equal.
-    #[allow(clippy::too_many_arguments)]
-    fn push_unit_parallel_grid(
-        program: &P,
-        pool: &WorkerPool,
-        workers: &mut [WorkerScratch<P::Meta>],
-        list: &[VertexId],
-        csr: &Csr,
-        grid: &GridCsr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        bounds: &[u32],
-        tasks: &mut Vec<Cost>,
-        changed: &mut Vec<VertexId>,
-        records: &mut Vec<RecordEntry>,
-        bins: &mut ThreadBins,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-        sup: &Supervisor,
-    ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
-        pool.try_for_each_worker_sharded(workers, curr, bounds, |w, ws, off, curr_shard| {
-            ws.changed.clear();
-            let WorkerScratch {
-                changed,
-                records,
-                applied,
-                edges_examined,
-                ..
-            } = ws;
-            Self::push_replay_grid(
-                program,
-                list,
-                grid.shard(w),
-                prev,
-                off,
-                curr_shard,
-                records,
-                applied,
-                edges_examined,
-                &mut ListSink(changed),
-                record,
-                width,
-                task_base,
-                sup,
-            );
-        })?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
-            changed.extend_from_slice(&ws.changed);
-            recs.extend_from_slice(&ws.records);
-        });
-        Ok(())
-    }
-
-    /// The bitmap-mode variant of [`Self::push_unit_parallel_grid`]:
-    /// grid iteration with atomic-free bit-set change recording over
-    /// the word-aligned shard windows.
-    #[allow(clippy::too_many_arguments)]
-    fn push_unit_parallel_grid_bits(
-        program: &P,
-        pool: &WorkerPool,
-        workers: &mut [WorkerScratch<P::Meta>],
-        list: &[VertexId],
-        csr: &Csr,
-        grid: &GridCsr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        fences: &PushFences,
-        changed_bits: &mut FrontierBitmap,
-        tasks: &mut Vec<Cost>,
-        records: &mut Vec<RecordEntry>,
-        bins: &mut ThreadBins,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-        sup: &Supervisor,
-    ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
-        pool.try_for_each_worker_sharded2(
-            workers,
-            curr,
-            &fences.verts,
-            changed_bits.words_mut(),
-            &fences.words,
-            |w, ws, off, curr_shard, word_off, word_shard| {
-                let WorkerScratch {
+                    changed,
                     records,
                     applied,
                     edges_examined,
@@ -1555,7 +805,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     records,
                     applied,
                     edges_examined,
-                    &mut BitSink(BitmapWordsMut::new(word_off, word_shard)),
+                    changed,
                     record,
                     width,
                     task_base,
@@ -1563,115 +813,29 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 );
             },
         )?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
-            recs.extend_from_slice(&ws.records);
-        });
+        records.clear();
+        for ws in workers.iter() {
+            for &(t, a) in &ws.applied {
+                tasks[t as usize].writes += a as u64;
+            }
+            *examined += ws.edges_examined;
+            changed.extend_from_slice(&ws.changed);
+            records.extend_from_slice(&ws.records);
+        }
+        records.sort_unstable_by_key(|r| r.key);
+        for r in records.iter() {
+            bins.record(r.slot, r.v);
+        }
         Ok(())
     }
 
-    /// Pre-fills the push cost vector with the destination-independent
-    /// degree terms (`writes` summed in from the shard merge).
-    fn push_cost_prefill(
-        tasks: &mut Vec<Cost>,
-        list: &[VertexId],
-        csr: &Csr,
-        width: u64,
-        frontier_sorted: bool,
-    ) {
-        tasks.clear();
-        for &v in list {
-            let (lo, hi) = csr.range(v);
-            tasks.push(Self::push_cost((hi - lo) as u64, 0, width, frontier_sorted));
-        }
-    }
-
-    /// One worker's destination shard of the scan-strategy push
-    /// task-list replay, shared by both frontier representations
-    /// through the [`ChangeSink`] first-change test: the full
-    /// adjacency of every task is scanned and out-of-shard edges are
-    /// skipped.
+    /// One worker's destination shard of the push replay: every task
+    /// contributes only its `(source, shard)` cell of the bind-time
+    /// [`crate::grid::GridCsr`]. The cell carries each edge's original
+    /// adjacency offset, which keeps record keys and bin slots
+    /// identical to the serial engine's.
     #[allow(clippy::too_many_arguments)]
-    fn push_replay_shard<C: ChangeSink<P::Meta>>(
-        program: &P,
-        list: &[VertexId],
-        csr: &Csr,
-        prev: &[P::Meta],
-        off: usize,
-        curr_shard: &mut [P::Meta],
-        records: &mut Vec<RecordEntry>,
-        applied_out: &mut Vec<(u32, u32)>,
-        examined: &mut u64,
-        chg: &mut C,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        sup: &Supervisor,
-    ) {
-        fault::hit(FaultSite::Push);
-        records.clear();
-        applied_out.clear();
-        *examined = 0;
-        for (t, &v) in list.iter().enumerate() {
-            if t % POLL_STRIDE == 0 && sup.poll() {
-                break;
-            }
-            let task_counter = task_base + t as u64;
-            let (lo, hi) = csr.range(v);
-            let targets = &csr.targets()[lo..hi];
-            *examined += targets.len() as u64;
-            // Weighted/unweighted split once per task, so the inner
-            // loop carries no per-edge branch on the weights option.
-            let applied = match csr.weights() {
-                None => Self::replay_task_edges(
-                    program,
-                    v,
-                    targets,
-                    |_| 1,
-                    |k| k as u32,
-                    Some((off, off + curr_shard.len())),
-                    prev,
-                    off,
-                    curr_shard,
-                    records,
-                    chg,
-                    record,
-                    width,
-                    task_counter,
-                ),
-                Some(ws) => {
-                    let ws = &ws[lo..hi];
-                    Self::replay_task_edges(
-                        program,
-                        v,
-                        targets,
-                        |k| ws[k],
-                        |k| k as u32,
-                        Some((off, off + curr_shard.len())),
-                        prev,
-                        off,
-                        curr_shard,
-                        records,
-                        chg,
-                        record,
-                        width,
-                        task_counter,
-                    )
-                }
-            };
-            if applied > 0 {
-                applied_out.push((t as u32, applied));
-            }
-        }
-    }
-
-    /// One worker's destination shard of the grid-strategy push
-    /// replay: every task contributes only its `(source, shard)` cell
-    /// of the bind-time [`GridCsr`], so no edge is scanned and
-    /// skipped. The cell carries each edge's original adjacency
-    /// offset, which keeps record keys and bin slots identical to the
-    /// scan replay.
-    #[allow(clippy::too_many_arguments)]
-    fn push_replay_grid<C: ChangeSink<P::Meta>>(
+    fn push_replay_grid(
         program: &P,
         list: &[VertexId],
         shard: &ShardCsr,
@@ -1681,7 +845,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         records: &mut Vec<RecordEntry>,
         applied_out: &mut Vec<(u32, u32)>,
         examined: &mut u64,
-        chg: &mut C,
+        changed: &mut Vec<VertexId>,
         record: bool,
         width: u64,
         task_base: u64,
@@ -1708,14 +872,13 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     program,
                     v,
                     targets,
+                    eoffs,
                     |_| 1,
-                    |k| eoffs[k],
-                    None,
                     prev,
                     off,
                     curr_shard,
                     records,
-                    chg,
+                    changed,
                     record,
                     width,
                     task_counter,
@@ -1726,14 +889,13 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         program,
                         v,
                         targets,
+                        eoffs,
                         |k| ws[k],
-                        |k| eoffs[k],
-                        None,
                         prev,
                         off,
                         curr_shard,
                         records,
-                        chg,
+                        changed,
                         record,
                         width,
                         task_counter,
@@ -1746,28 +908,25 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         }
     }
 
-    /// The edge loop shared by both parallel push replays: applies the
-    /// given targets against the worker's destination shard, deferring
-    /// online-filter records under `(task, edge)` keys. `weight` and
-    /// `edge_off` resolve per-edge metadata by position (monomorphized
-    /// per weighted/unweighted split and per strategy), and `bounds`
-    /// is the scan strategy's in-shard filter — the grid replay passes
-    /// `None` because its cells are in-shard by construction. Returns
-    /// the number of successful applies.
+    /// The parallel push edge loop: applies the given targets against
+    /// the worker's destination shard, deferring online-filter records
+    /// under `(task, edge)` keys (`eoffs` carries each target's offset
+    /// in the source's full adjacency). `weight` resolves per-edge
+    /// weights by position (monomorphized per weighted/unweighted
+    /// split). Returns the number of successful applies.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn replay_task_edges<C: ChangeSink<P::Meta>>(
+    fn replay_task_edges(
         program: &P,
         v: VertexId,
         targets: &[VertexId],
+        eoffs: &[u32],
         weight: impl Fn(usize) -> Weight,
-        edge_off: impl Fn(usize) -> u32,
-        bounds: Option<(usize, usize)>,
         prev: &[P::Meta],
         off: usize,
         curr_shard: &mut [P::Meta],
         records: &mut Vec<RecordEntry>,
-        chg: &mut C,
+        changed: &mut Vec<VertexId>,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -1777,11 +936,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         let mut applied = 0u32;
         for (k, &u) in targets.iter().enumerate() {
             let ui = u as usize;
-            if let Some((lo, hi)) = bounds {
-                if ui < lo || ui >= hi {
-                    continue;
-                }
-            }
             debug_assert!(
                 (off..off + curr_shard.len()).contains(&ui),
                 "edge destination outside the worker's shard"
@@ -1794,14 +948,14 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 // it (duplicate frontier entries would double-apply
                 // non-idempotent aggregations like k-Core's
                 // decrements).
-                let first_change = chg.is_first(u, &curr_shard[ui - off], &prev[ui]);
+                let first_change = curr_shard[ui - off] == prev[ui];
                 if let Some(new) = program.apply(u, &curr_shard[ui - off], up) {
                     curr_shard[ui - off] = new;
                     applied += 1;
                     if first_change {
-                        chg.mark(u);
+                        changed.push(u);
                         if record && program.activates(u, &new) {
-                            let e = edge_off(k);
+                            let e = eoffs[k];
                             records.push(RecordEntry {
                                 key: (task_counter, e),
                                 slot: bin_base + e as usize % width as usize,
@@ -1813,34 +967,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
             }
         }
         applied
-    }
-
-    /// The deterministic push merge: writes per task sum over shards;
-    /// per-worker examined-edge counts sum into the run meter;
-    /// `collect` gathers each worker's deferred state (changed lists
-    /// and/or records, depending on the representation); the record
-    /// replay sorts by (task, edge) so the bins see the serial
-    /// sequence.
-    fn push_merge(
-        workers: &mut [WorkerScratch<P::Meta>],
-        tasks: &mut [Cost],
-        records: &mut Vec<RecordEntry>,
-        bins: &mut ThreadBins,
-        examined: &mut u64,
-        mut collect: impl FnMut(&WorkerScratch<P::Meta>, &mut Vec<RecordEntry>),
-    ) {
-        records.clear();
-        for ws in workers.iter_mut() {
-            for &(t, a) in &ws.applied {
-                tasks[t as usize].writes += a as u64;
-            }
-            *examined += ws.edges_examined;
-            collect(ws, records);
-        }
-        records.sort_unstable_by_key(|r| r.key);
-        for r in records.iter() {
-            bins.record(r.slot, r.v);
-        }
     }
 
     /// One pull-mode compute-kernel loop, task-chunked: pull tasks are
@@ -1858,9 +984,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         csr: &Csr,
         prev: &[P::Meta],
         curr: &mut [P::Meta],
-        repr: FrontierRepr,
         changed: &mut Vec<VertexId>,
-        changed_bits: &mut FrontierBitmap,
         bins: &mut ThreadBins,
         record: bool,
         width: u64,
@@ -1904,16 +1028,8 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 curr[v as usize] = new;
             }
             // Pull tasks touch disjoint candidate vertices, so the
-            // deferred changed entries merge into either representation
-            // without dedup.
-            match repr {
-                FrontierRepr::List => changed.extend_from_slice(&ws.changed),
-                FrontierRepr::Bitmap => {
-                    for &v in &ws.changed {
-                        changed_bits.set(v);
-                    }
-                }
-            }
+            // deferred changed entries merge without dedup.
+            changed.extend_from_slice(&ws.changed);
             for r in &ws.records {
                 bins.record(r.slot, r.v);
             }
@@ -1993,14 +1109,14 @@ impl<'g, P: AccProgram> Engine<'g, P> {
     /// never propagate transitively within an iteration, matching the
     /// synchronization of Fig. 4(b).
     #[allow(clippy::too_many_arguments)]
-    fn push_task<C: ChangeSink<P::Meta>>(
+    fn push_task(
         program: &P,
         v: VertexId,
         csr: &Csr,
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut C,
+        changed: &mut Vec<VertexId>,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -2022,7 +1138,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 prev,
                 curr,
                 bins,
-                chg,
+                changed,
                 record,
                 width,
                 task_counter,
@@ -2037,7 +1153,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     prev,
                     curr,
                     bins,
-                    chg,
+                    changed,
                     record,
                     width,
                     task_counter,
@@ -2050,7 +1166,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
     /// The serial push edge loop, monomorphized per weight provider.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn push_task_edges<C: ChangeSink<P::Meta>>(
+    fn push_task_edges(
         program: &P,
         v: VertexId,
         targets: &[VertexId],
@@ -2058,7 +1174,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut C,
+        changed: &mut Vec<VertexId>,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -2073,13 +1189,12 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 // once per iteration even when several sources update it
                 // (duplicate frontier entries would double-apply
                 // non-idempotent aggregations like k-Core's decrements).
-                // List mode compares metadata; bitmap mode tests a bit.
-                let first_change = chg.is_first(u, &curr[u as usize], &prev[u as usize]);
+                let first_change = curr[u as usize] == prev[u as usize];
                 if let Some(new) = program.apply(u, &curr[u as usize], up) {
                     curr[u as usize] = new;
                     applied += 1;
                     if first_change {
-                        chg.mark(u);
+                        changed.push(u);
                         if record && program.activates(u, &new) {
                             bins.record(bin_base + k % width as usize, u);
                         }
@@ -2094,14 +1209,14 @@ impl<'g, P: AccProgram> Engine<'g, P> {
     /// its in-edges, combining updates warp-locally before a single
     /// non-atomic write — Fig. 4(b) lines 1-8).
     #[allow(clippy::too_many_arguments)]
-    fn pull_task<C: ChangeSink<P::Meta>>(
+    fn pull_task(
         program: &P,
         v: VertexId,
         csr: &Csr,
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut C,
+        changed: &mut Vec<VertexId>,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -2111,12 +1226,12 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         *examined += scanned;
         let mut applied = 0u64;
         if let Some(up) = acc {
-            let first_change = chg.is_first(v, &curr[v as usize], &prev[v as usize]);
+            let first_change = curr[v as usize] == prev[v as usize];
             if let Some(new) = program.apply(v, &curr[v as usize], up) {
                 curr[v as usize] = new;
                 applied = 1;
                 if first_change {
-                    chg.mark(v);
+                    changed.push(v);
                     if record && program.activates(v, &new) {
                         bins.record((task_counter * width) as usize, v);
                     }
@@ -2236,6 +1351,7 @@ mod tests {
     use crate::acc::CombineKind;
     use crate::config::{ExecMode, FilterPolicy};
     use crate::fusion::FusionStrategy;
+    use crate::session::Runtime;
     use simdx_graph::{EdgeList, Weight};
 
     /// BFS-like vote program over levels, used to exercise the engine
@@ -2311,19 +1427,6 @@ mod tests {
             .run(Levels { src: 0 })
             .execute()
             .expect_err("run should fail")
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_engine_shim_matches_session_api() {
-        let g = path_graph(64);
-        let via_shim = Engine::new(Levels { src: 0 }, &g, EngineConfig::unscaled())
-            .run()
-            .expect("shim run");
-        let via_session = run_levels(&g, EngineConfig::unscaled());
-        assert_eq!(via_shim.meta, via_session.meta);
-        assert_eq!(via_shim.report.log, via_session.report.log);
-        assert_eq!(via_shim.report.stats, via_session.report.stats);
     }
 
     #[test]
@@ -2583,160 +1686,5 @@ mod tests {
         let auto = run_levels(&g, EngineConfig::unscaled().parallel(0));
         assert_eq!(serial.meta, auto.meta);
         assert_eq!(serial.report.stats, auto.report.stats);
-    }
-
-    /// Asserts bitmap mode is bit-equal to list mode in both exec
-    /// modes: same metadata, same log, same simulated cycles.
-    fn assert_bitmap_matches(g: &Graph, cfg: EngineConfig) {
-        use crate::config::FrontierRepr;
-        let base = run_levels(g, cfg.clone().with_frontier(FrontierRepr::List));
-        for threads in [1usize, 3] {
-            let cfg = if threads > 1 {
-                cfg.clone().parallel(threads)
-            } else {
-                cfg.clone().with_exec(ExecMode::Serial)
-            };
-            let bm = run_levels(g, cfg.bitmap());
-            assert_eq!(bm.meta, base.meta, "{threads} threads: metadata");
-            assert_eq!(
-                bm.report.log, base.report.log,
-                "{threads} threads: iteration log"
-            );
-            assert_eq!(
-                bm.report.stats, base.report.stats,
-                "{threads} threads: executor stats"
-            );
-        }
-    }
-
-    #[test]
-    fn bitmap_is_bit_equal_on_path() {
-        assert_bitmap_matches(&path_graph(300), EngineConfig::unscaled());
-    }
-
-    #[test]
-    fn bitmap_is_bit_equal_with_direction_switches() {
-        let mut edges = Vec::new();
-        let n = 256u32;
-        for v in 0..n {
-            for k in 1..=8 {
-                edges.push((v, (v * 7 + k * 13) % n));
-            }
-        }
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(edges));
-        assert_bitmap_matches(&g, EngineConfig::unscaled());
-        assert_bitmap_matches(
-            &g,
-            EngineConfig::default().with_frontier(FrontierRepr::List),
-        );
-    }
-
-    #[test]
-    fn bitmap_is_bit_equal_on_hub_overflow() {
-        // Ballot switching + bin overflow: the sparse scan and the
-        // bit-set dedup must reproduce the overflow behaviour exactly.
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(
-            (1..=5000u32).map(|i| (0, i)).collect(),
-        ));
-        assert_bitmap_matches(
-            &g,
-            EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush),
-        );
-    }
-
-    #[test]
-    fn bitmap_word_aligned_fences_cover_all_vertices() {
-        let g = path_graph(1000);
-        let fences = PushFences::compute(g.in_(), 4, FrontierRepr::Bitmap, MetadataLayout::Flat);
-        assert_eq!(fences.verts[0], 0);
-        assert_eq!(*fences.verts.last().unwrap(), 1000);
-        assert!(fences.verts.windows(2).all(|w| w[0] <= w[1]));
-        // Inner fences land on word boundaries; word fences mirror them.
-        for (i, &f) in fences.verts.iter().enumerate().take(4).skip(1) {
-            assert_eq!(f % 64, 0, "fence {i} not word-aligned");
-            assert_eq!(fences.words[i], f / 64);
-        }
-        assert_eq!(
-            *fences.words.last().unwrap() as usize,
-            1000usize.div_ceil(64)
-        );
-        // List mode leaves the word fences empty.
-        let list = PushFences::compute(g.in_(), 4, FrontierRepr::List, MetadataLayout::Flat);
-        assert!(list.words.is_empty());
-    }
-
-    #[test]
-    fn chunked_fences_never_split_a_metadata_chunk() {
-        let g = path_graph(1000);
-        let fences = PushFences::compute(g.in_(), 4, FrontierRepr::List, MetadataLayout::Chunked);
-        assert_eq!(fences.verts[0], 0);
-        assert_eq!(*fences.verts.last().unwrap(), 1000);
-        for (i, &f) in fences.verts.iter().enumerate().take(4).skip(1) {
-            assert_eq!(f % 32, 0, "fence {i} splits a chunk");
-        }
-        // Bitmap word fences (64) already satisfy chunk (32) alignment.
-        let bm = PushFences::compute(g.in_(), 4, FrontierRepr::Bitmap, MetadataLayout::Chunked);
-        for &f in bm.verts.iter().take(4).skip(1) {
-            assert_eq!(f % 32, 0);
-        }
-    }
-
-    /// Asserts the chunked metadata layout is bit-equal to flat across
-    /// exec modes and frontier representations.
-    fn assert_chunked_matches(g: &Graph, cfg: EngineConfig) {
-        let base = run_levels(g, cfg.clone().with_layout(MetadataLayout::Flat));
-        for threads in [1usize, 3] {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                let cfg = if threads > 1 {
-                    cfg.clone().parallel(threads)
-                } else {
-                    cfg.clone().with_exec(ExecMode::Serial)
-                };
-                let ch = run_levels(g, cfg.with_frontier(repr).chunked());
-                let label = format!("{threads} threads / {}", repr.label());
-                assert_eq!(ch.meta, base.meta, "{label}: metadata");
-                assert_eq!(ch.report.log, base.report.log, "{label}: iteration log");
-                assert_eq!(
-                    ch.report.stats, base.report.stats,
-                    "{label}: executor stats"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_is_bit_equal_on_path() {
-        // 300 % 32 != 0: the tail chunk is partial.
-        assert_chunked_matches(&path_graph(300), EngineConfig::unscaled());
-    }
-
-    #[test]
-    fn chunked_is_bit_equal_with_direction_switches() {
-        let mut edges = Vec::new();
-        let n = 256u32;
-        for v in 0..n {
-            for k in 1..=8 {
-                edges.push((v, (v * 7 + k * 13) % n));
-            }
-        }
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(edges));
-        assert_chunked_matches(&g, EngineConfig::unscaled());
-        assert_chunked_matches(
-            &g,
-            EngineConfig::default()
-                .with_frontier(FrontierRepr::List)
-                .with_layout(MetadataLayout::Flat),
-        );
-    }
-
-    #[test]
-    fn chunked_is_bit_equal_on_hub_overflow() {
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(
-            (1..=5000u32).map(|i| (0, i)).collect(),
-        ));
-        assert_chunked_matches(
-            &g,
-            EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush),
-        );
     }
 }

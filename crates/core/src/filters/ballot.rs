@@ -9,16 +9,13 @@
 //! coalesced scan and sorted active vertices").
 
 use crate::acc::AccProgram;
-use crate::config::MetadataLayout;
-use crate::frontier::WORD_BITS;
 use simdx_gpu::warp::{ballot, popc};
 use simdx_gpu::{Cost, GpuExecutor, KernelDesc, SchedUnit, WARP_SIZE};
 use simdx_graph::VertexId;
 
 /// Per-warp-chunk scan cost: two coalesced metadata loads per lane,
 /// the compare + ballot + popc ALU work, and the compacted append of
-/// the `votes` voting lanes. Shared by the dense and sparse scans so
-/// their charged sequences cannot drift apart.
+/// the `votes` voting lanes.
 fn chunk_cost(chunk: usize, votes: u32) -> Cost {
     Cost {
         compute_ops: 3 * chunk as u64,
@@ -87,157 +84,6 @@ pub fn scan_range<P: AccProgram>(
         }
         out.tasks.push(chunk_cost(chunk, votes));
         base += chunk;
-    }
-}
-
-/// The chunked-layout form of [`scan_range`]: full 32-vertex chunks
-/// are swept through `[M; 32]` array windows with a fixed-width lane
-/// loop, so the compiler can unroll/vectorize the Active compares into
-/// a mask (the host analogue of `__ballot`); the partial tail chunk
-/// (when `end % 32 != 0`) falls back to the scalar loop and never
-/// reads the chunked buffer's padding lanes.
-///
-/// The output — actives *and* per-chunk cost sequence — is
-/// bit-identical to [`scan_range`] over the same range: same lane
-/// order inside each chunk (ascending, the bit order `ballot` packs),
-/// same `chunk_cost` per chunk.
-pub fn scan_range_chunked<P: AccProgram>(
-    program: &P,
-    curr: &[P::Meta],
-    prev: &[P::Meta],
-    start: usize,
-    end: usize,
-    out: &mut WarpScanScratch,
-) {
-    assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
-    assert!(
-        start.is_multiple_of(WARP_SIZE),
-        "partition start must be warp-aligned"
-    );
-    let mut base = start;
-    while base + WARP_SIZE <= end {
-        let c: &[P::Meta; WARP_SIZE] = curr[base..base + WARP_SIZE]
-            .try_into()
-            .expect("exact chunk");
-        let p: &[P::Meta; WARP_SIZE] = prev[base..base + WARP_SIZE]
-            .try_into()
-            .expect("exact chunk");
-        let mut mask = 0u32;
-        for lane in 0..WARP_SIZE {
-            mask |= (program.active((base + lane) as VertexId, &c[lane], &p[lane]) as u32) << lane;
-        }
-        let votes = popc(mask);
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            out.active.push((base + lane) as VertexId);
-            m &= m - 1;
-        }
-        out.tasks.push(chunk_cost(WARP_SIZE, votes));
-        base += WARP_SIZE;
-    }
-    if base < end {
-        scan_range(program, curr, prev, base, end, out);
-    }
-}
-
-/// Layout dispatch for the dense scan: `Chunked` takes the fixed-width
-/// chunk sweep, `Flat` the scalar reference loop. Both are
-/// bit-identical; only the loop shape (and therefore what the host
-/// compiler can vectorize) differs.
-pub fn scan_range_layout<P: AccProgram>(
-    program: &P,
-    curr: &[P::Meta],
-    prev: &[P::Meta],
-    start: usize,
-    end: usize,
-    layout: MetadataLayout,
-    out: &mut WarpScanScratch,
-) {
-    match layout {
-        MetadataLayout::Flat => scan_range(program, curr, prev, start, end, out),
-        MetadataLayout::Chunked => scan_range_chunked(program, curr, prev, start, end, out),
-    }
-}
-
-/// [`scan_range`] with a word-level occupancy skip: `occupancy` is the
-/// changed-vertex bitmap's backing words (bit `v % 64` of word
-/// `v / 64`), and any all-zero word — 64 vertices, two warp chunks —
-/// is charged without touching the metadata arrays.
-///
-/// The output (actives *and* per-chunk cost sequence) is bit-identical
-/// to [`scan_range`] over the same range because a vertex whose
-/// metadata still equals the iteration-start snapshot cannot satisfy
-/// the Active condition (`active(v, m, m)` is `false` for every ACC
-/// program), so a zero occupancy word proves its two chunks vote
-/// nothing: same zero `writes`, same scan reads, no actives. `start`
-/// must be word-aligned (64) so partition boundaries fall on occupancy
-/// words; partitions concatenated in range order remain bit-identical
-/// to one scan of the full range.
-pub fn scan_range_sparse<P: AccProgram>(
-    program: &P,
-    curr: &[P::Meta],
-    prev: &[P::Meta],
-    start: usize,
-    end: usize,
-    occupancy: &[u64],
-    out: &mut WarpScanScratch,
-) {
-    scan_range_sparse_layout(
-        program,
-        curr,
-        prev,
-        start,
-        end,
-        occupancy,
-        MetadataLayout::Flat,
-        out,
-    );
-}
-
-/// [`scan_range_sparse`] with the metadata-layout dispatch of
-/// [`scan_range_layout`]: occupied words (two warp chunks — a bitmap
-/// word is exactly two metadata chunks) are swept with the fixed-width
-/// chunked loop when `layout` is `Chunked`. All-zero-word charging is
-/// shared, so the dense and sparse, flat and chunked scans can never
-/// drift apart in cost.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_range_sparse_layout<P: AccProgram>(
-    program: &P,
-    curr: &[P::Meta],
-    prev: &[P::Meta],
-    start: usize,
-    end: usize,
-    occupancy: &[u64],
-    layout: MetadataLayout,
-    out: &mut WarpScanScratch,
-) {
-    assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
-    assert!(
-        start.is_multiple_of(WORD_BITS),
-        "partition start must be word-aligned"
-    );
-    assert!(
-        occupancy.len() * WORD_BITS >= end,
-        "occupancy must cover the scanned range"
-    );
-    let mut base = start;
-    while base < end {
-        let word_end = (base + WORD_BITS).min(end);
-        if occupancy[base / WORD_BITS] == 0 {
-            // No vertex in this word changed: charge the two warp
-            // chunks (or the partial tail) exactly as the dense scan
-            // would — full coalesced reads, zero votes — without
-            // loading metadata.
-            while base < word_end {
-                let chunk = (word_end - base).min(WARP_SIZE);
-                out.tasks.push(chunk_cost(chunk, 0));
-                base += chunk;
-            }
-        } else {
-            scan_range_layout(program, curr, prev, base, word_end, layout, out);
-            base = word_end;
-        }
     }
 }
 
@@ -382,151 +228,5 @@ mod tests {
         let (mut ex, k) = setup();
         let list = scan(&Diff, &[] as &[u32], &[], &mut ex, &k, false);
         assert!(list.is_empty());
-    }
-
-    /// Builds the occupancy words for a metadata pair (bit set iff
-    /// curr != prev), the invariant the engine maintains.
-    fn occupancy(curr: &[u32], prev: &[u32]) -> Vec<u64> {
-        let mut words = vec![0u64; curr.len().div_ceil(64)];
-        for (v, (c, p)) in curr.iter().zip(prev).enumerate() {
-            if c != p {
-                words[v / 64] |= 1 << (v % 64);
-            }
-        }
-        words
-    }
-
-    #[test]
-    fn sparse_scan_is_bit_identical_to_dense() {
-        // Misaligned length: 33 words plus a 5-vertex tail.
-        let n = 64 * 33 + 5;
-        let prev = vec![0u32; n];
-        let mut curr = prev.clone();
-        for v in [0usize, 63, 64, 1000, 2100, n - 1] {
-            curr[v] = 1;
-        }
-        let occ = occupancy(&curr, &prev);
-        let mut dense = WarpScanScratch::default();
-        scan_range(&Diff, &curr, &prev, 0, n, &mut dense);
-        let mut sparse = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, n, &occ, &mut sparse);
-        assert_eq!(sparse.active, dense.active);
-        assert_eq!(sparse.tasks, dense.tasks);
-    }
-
-    #[test]
-    fn sparse_scan_partitions_concatenate() {
-        let n = 64 * 8;
-        let prev = vec![0u32; n];
-        let mut curr = prev.clone();
-        curr[70] = 1;
-        curr[400] = 2;
-        let occ = occupancy(&curr, &prev);
-        let mut whole = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, n, &occ, &mut whole);
-        // Word-aligned split at vertex 256 (word 4).
-        let mut parts = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, 256, &occ, &mut parts);
-        scan_range_sparse(&Diff, &curr, &prev, 256, n, &occ, &mut parts);
-        assert_eq!(parts.active, whole.active);
-        assert_eq!(parts.tasks, whole.tasks);
-    }
-
-    #[test]
-    fn sparse_scan_all_zero_still_charges_every_chunk() {
-        let n = 64 * 4 + 17;
-        let meta = vec![3u32; n];
-        let occ = vec![0u64; n.div_ceil(64)];
-        let mut out = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &meta, &meta, 0, n, &occ, &mut out);
-        assert!(out.active.is_empty());
-        // Same chunk count as the dense scan: the JIT cost model sees
-        // the same V-proportional kernel either way.
-        assert_eq!(out.tasks.len(), n.div_ceil(WARP_SIZE));
-        assert!(out.tasks.iter().all(|t| t.writes == 0));
-    }
-
-    #[test]
-    fn chunked_scan_is_bit_identical_to_scalar() {
-        // Warp-misaligned length: 40 full chunks plus a 13-vertex tail.
-        let n = 32 * 40 + 13;
-        let prev = vec![0u32; n];
-        let mut curr = prev.clone();
-        for v in [0usize, 31, 32, 33, 500, 1000, n - 1] {
-            curr[v] = 1;
-        }
-        let mut scalar = WarpScanScratch::default();
-        scan_range(&Diff, &curr, &prev, 0, n, &mut scalar);
-        let mut chunked = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &curr, &prev, 0, n, &mut chunked);
-        assert_eq!(chunked.active, scalar.active);
-        assert_eq!(chunked.tasks, scalar.tasks);
-        // Layout dispatch reaches the same two paths.
-        for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-            let mut out = WarpScanScratch::default();
-            scan_range_layout(&Diff, &curr, &prev, 0, n, layout, &mut out);
-            assert_eq!(out.active, scalar.active, "{layout:?}");
-            assert_eq!(out.tasks, scalar.tasks, "{layout:?}");
-        }
-    }
-
-    #[test]
-    fn chunked_scan_partitions_concatenate() {
-        let n = 32 * 9 + 7;
-        let prev = vec![0u32; n];
-        let mut curr = prev.clone();
-        curr[5] = 1;
-        curr[200] = 2;
-        curr[n - 1] = 3;
-        let mut whole = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &curr, &prev, 0, n, &mut whole);
-        let mut parts = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &curr, &prev, 0, 96, &mut parts);
-        scan_range_chunked(&Diff, &curr, &prev, 96, n, &mut parts);
-        assert_eq!(parts.active, whole.active);
-        assert_eq!(parts.tasks, whole.tasks);
-    }
-
-    #[test]
-    fn sparse_chunked_scan_is_bit_identical_to_sparse() {
-        let n = 64 * 21 + 39;
-        let prev = vec![0u32; n];
-        let mut curr = prev.clone();
-        for v in [1usize, 64, 65, 127, 700, n - 2] {
-            curr[v] = 9;
-        }
-        let occ = occupancy(&curr, &prev);
-        let mut flat = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, n, &occ, &mut flat);
-        let mut chunked = WarpScanScratch::default();
-        scan_range_sparse_layout(
-            &Diff,
-            &curr,
-            &prev,
-            0,
-            n,
-            &occ,
-            MetadataLayout::Chunked,
-            &mut chunked,
-        );
-        assert_eq!(chunked.active, flat.active);
-        assert_eq!(chunked.tasks, flat.tasks);
-    }
-
-    #[test]
-    #[should_panic(expected = "warp-aligned")]
-    fn chunked_scan_rejects_misaligned_start() {
-        let meta = vec![0u32; 64];
-        let mut out = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &meta, &meta, 5, 64, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "word-aligned")]
-    fn sparse_scan_rejects_misaligned_start() {
-        let meta = vec![0u32; 128];
-        let occ = vec![0u64; 2];
-        let mut out = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &meta, &meta, 32, 128, &occ, &mut out);
     }
 }

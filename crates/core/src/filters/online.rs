@@ -36,22 +36,6 @@ pub fn concatenate_into(
     out: &mut Vec<VertexId>,
 ) {
     bins.concatenate_into(out);
-    charge_concatenation(bins, executor, kernel, launch, tasks);
-}
-
-/// Charges the concatenation kernel *without* materializing the list:
-/// the cost depends only on the bin count and the recorded total, so
-/// the engine's bitmap mode can pay for task management here and drain
-/// the bins directly ([`ThreadBins::for_each_entry`]) next iteration.
-/// Bit-identical charging to [`concatenate_into`] by construction —
-/// both derive `copy_warps` from [`ThreadBins::total_recorded`].
-pub fn charge_concatenation(
-    bins: &ThreadBins,
-    executor: &mut GpuExecutor,
-    kernel: &KernelDesc,
-    launch: bool,
-    tasks: &mut Vec<Cost>,
-) {
     // Cost: a warp-cooperative exclusive scan over the bin sizes plus a
     // coalesced copy of every recorded vertex to its offset.
     let scan_warps = (bins.num_threads() as u64).div_ceil(32);
@@ -124,19 +108,5 @@ mod tests {
         let (mut ex, k) = setup();
         let bins = ThreadBins::new(4, 8);
         assert!(concatenate(&bins, &mut ex, &k, false).is_empty());
-    }
-
-    #[test]
-    fn charge_without_materializing_costs_the_same() {
-        let mut bins = ThreadBins::new(16, 64);
-        for i in 0..500u32 {
-            bins.record(i as usize % 16, i % 97);
-        }
-        let (mut ex_full, k) = setup();
-        concatenate(&bins, &mut ex_full, &k, true);
-        let (mut ex_charge, _) = setup();
-        let mut tasks = Vec::new();
-        charge_concatenation(&bins, &mut ex_charge, &k, true, &mut tasks);
-        assert_eq!(ex_charge.stats(), ex_full.stats());
     }
 }

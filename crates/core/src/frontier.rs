@@ -1,5 +1,4 @@
-//! Worklists, degree classification, per-thread bins (§4) and the
-//! bitmap frontier representation.
+//! Worklists, degree classification and per-thread bins (§4).
 //!
 //! Step I of JIT task management classifies active vertices by degree
 //! into three worklists; step II assigns a thread per small task, a warp
@@ -7,268 +6,10 @@
 //! online filter records newly-activated vertices into bounded
 //! *thread bins*; a bin overflow is the signal that flips the JIT
 //! controller over to the ballot filter.
-//!
-//! [`FrontierBitmap`] is the dense counterpart of the sorted worklists:
-//! one `u64` word per 64 vertices (two warp chunks at the ballot
-//! filter's 32-lane granularity), selected by
-//! [`crate::config::FrontierRepr::Bitmap`]. Set-shaped frontier
-//! structures — the changed-vertex set, pull-candidate dedup and the
-//! ballot scan's occupancy — become O(1) bit tests and word-level skips
-//! instead of vertex-list walks, while every iteration order stays
-//! ascending so results remain bit-equal to the list representation.
 
 use simdx_gpu::SchedUnit;
 use simdx_graph::csr::Csr;
 use simdx_graph::VertexId;
-
-/// Bits per [`FrontierBitmap`] word: 64 vertices, i.e. two warp chunks
-/// of the ballot filter's [`simdx_gpu::WARP_SIZE`] granularity.
-pub const WORD_BITS: usize = 64;
-
-/// A dense frontier: bit `v % 64` of word `v / 64` is set iff vertex
-/// `v` is in the set.
-///
-/// All iteration orders ([`Self::iter`], [`Self::collect_into`],
-/// [`Self::drain_for_each`]) are ascending vertex order — the same
-/// order the ballot filter emits — so a bitmap and a sorted,
-/// duplicate-free worklist are interchangeable representations of the
-/// same frontier. Membership is an O(1) word load; cardinality is a
-/// popcount sweep; and empty regions are skipped a word (64 vertices)
-/// at a time.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FrontierBitmap {
-    words: Vec<u64>,
-    num_vertices: usize,
-}
-
-impl FrontierBitmap {
-    /// An empty bitmap over `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
-        Self {
-            words: vec![0; num_vertices.div_ceil(WORD_BITS)],
-            num_vertices,
-        }
-    }
-
-    /// Reshapes to `num_vertices` and clears every bit, reusing the
-    /// word allocation (the engine calls this once per run; in steady
-    /// state it never allocates).
-    pub fn reset(&mut self, num_vertices: usize) {
-        self.words.clear();
-        self.words.resize(num_vertices.div_ceil(WORD_BITS), 0);
-        self.num_vertices = num_vertices;
-    }
-
-    /// Number of vertices the bitmap covers.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of backing words (`ceil(num_vertices / 64)`).
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Sets bit `v`. Panics when `v` is out of range — including in
-    /// release builds, where the partial tail word would otherwise
-    /// silently accept phantom vertices.
-    #[inline]
-    pub fn set(&mut self, v: VertexId) {
-        assert!((v as usize) < self.num_vertices, "vertex out of range");
-        self.words[v as usize / WORD_BITS] |= 1u64 << (v as usize % WORD_BITS);
-    }
-
-    /// Tests bit `v`. Panics when `v` is out of range.
-    #[inline]
-    pub fn test(&self, v: VertexId) -> bool {
-        assert!((v as usize) < self.num_vertices, "vertex out of range");
-        self.words[v as usize / WORD_BITS] & (1u64 << (v as usize % WORD_BITS)) != 0
-    }
-
-    /// Clears bit `v`. Panics when `v` is out of range.
-    #[inline]
-    pub fn unset(&mut self, v: VertexId) {
-        assert!((v as usize) < self.num_vertices, "vertex out of range");
-        self.words[v as usize / WORD_BITS] &= !(1u64 << (v as usize % WORD_BITS));
-    }
-
-    /// Clears every bit, keeping the shape.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Popcount-based cardinality.
-    pub fn count(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The backing words for word-level iteration (e.g. the ballot
-    /// scan's all-zero-word skip).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Mutable backing words — the raw form handed to
-    /// [`crate::par::SliceShards`] for word-aligned partitioning.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// A mutable view of the whole bitmap (the one-shard case of
-    /// [`BitmapWordsMut`]).
-    pub fn view_mut(&mut self) -> BitmapWordsMut<'_> {
-        BitmapWordsMut::new(0, &mut self.words)
-    }
-
-    /// Iterates set bits in ascending vertex order.
-    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            std::iter::successors((word != 0).then_some(word), |w| {
-                let w = w & (w - 1);
-                (w != 0).then_some(w)
-            })
-            .map(move |w| (i * WORD_BITS) as VertexId + w.trailing_zeros())
-        })
-    }
-
-    /// Rebuilds the bitmap over `num_vertices` from a worklist (any
-    /// order, duplicates collapse).
-    pub fn fill_from_list(&mut self, num_vertices: usize, list: &[VertexId]) {
-        self.reset(num_vertices);
-        for &v in list {
-            self.set(v);
-        }
-    }
-
-    /// Appends the set vertices to `out` in ascending order.
-    pub fn collect_into(&self, out: &mut Vec<VertexId>) {
-        for v in self.iter() {
-            out.push(v);
-        }
-    }
-
-    /// Visits set bits in ascending order, clearing each word after it
-    /// is consumed — the O(set words) "publish and reset" sweep of the
-    /// engine's bitmap mode.
-    pub fn drain_for_each(&mut self, mut f: impl FnMut(VertexId)) {
-        for (i, word) in self.words.iter_mut().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                f((i * WORD_BITS) as VertexId + w.trailing_zeros());
-                w &= w - 1;
-            }
-            *word = 0;
-        }
-    }
-
-    /// [`Self::drain_for_each`] into a vector (appended in ascending
-    /// order).
-    pub fn drain_into(&mut self, out: &mut Vec<VertexId>) {
-        self.drain_for_each(|v| out.push(v));
-    }
-
-    /// Visits the index of every non-zero word in ascending order,
-    /// clearing each as it is consumed — the word-granular form of
-    /// [`Self::drain_for_each`] used by the chunked-layout publish
-    /// sweep, which copies whole 32-vertex metadata chunks per
-    /// occupied word instead of scattering bit by bit.
-    pub fn drain_nonzero_words(&mut self, mut f: impl FnMut(usize)) {
-        for (i, word) in self.words.iter_mut().enumerate() {
-            if *word != 0 {
-                f(i);
-                *word = 0;
-            }
-        }
-    }
-}
-
-/// A word-aligned mutable window of a [`FrontierBitmap`] covering
-/// vertices `[64 * word_off, 64 * (word_off + words.len()))`.
-///
-/// Disjoint windows alias nothing, so the parallel push backend hands
-/// one to each destination shard (whose fences are word-aligned in
-/// bitmap mode) for **atomic-free** changed-set recording.
-#[derive(Debug)]
-pub struct BitmapWordsMut<'a> {
-    word_off: usize,
-    words: &'a mut [u64],
-}
-
-impl<'a> BitmapWordsMut<'a> {
-    /// A view starting at word `word_off` of the parent bitmap.
-    pub fn new(word_off: usize, words: &'a mut [u64]) -> Self {
-        Self { word_off, words }
-    }
-
-    /// Sets bit `v` (must fall inside the window).
-    #[inline]
-    pub fn set(&mut self, v: VertexId) {
-        let w = v as usize / WORD_BITS;
-        debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
-        self.words[w - self.word_off] |= 1u64 << (v as usize % WORD_BITS);
-    }
-
-    /// Tests bit `v` (must fall inside the window).
-    #[inline]
-    pub fn test(&self, v: VertexId) -> bool {
-        let w = v as usize / WORD_BITS;
-        debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
-        self.words[w - self.word_off] & (1u64 << (v as usize % WORD_BITS)) != 0
-    }
-}
-
-/// How a compute task records "vertex `v`'s metadata first diverged
-/// from the iteration-start snapshot this iteration".
-///
-/// The engine's first-change detection has two interchangeable
-/// implementations: the list representation compares metadata
-/// (`curr == prev`), the bitmap representation tests one bit. They
-/// agree because of the engine invariant that metadata never returns
-/// to its iteration-start value within an iteration (all ACC programs
-/// make monotone progress), so `changed-bit set ⟺ curr != prev`.
-pub(crate) trait ChangeSink<M> {
-    /// Whether `v` has not changed yet this iteration (called *before*
-    /// the apply that may change it).
-    fn is_first(&self, v: VertexId, curr: &M, prev: &M) -> bool;
-    /// Records `v` as changed.
-    fn mark(&mut self, v: VertexId);
-}
-
-/// List-mode sink: metadata compare + changed-list push.
-pub(crate) struct ListSink<'a>(pub &'a mut Vec<VertexId>);
-
-impl<M: PartialEq> ChangeSink<M> for ListSink<'_> {
-    #[inline]
-    fn is_first(&self, _v: VertexId, curr: &M, prev: &M) -> bool {
-        curr == prev
-    }
-
-    #[inline]
-    fn mark(&mut self, v: VertexId) {
-        self.0.push(v);
-    }
-}
-
-/// Bitmap-mode sink: bit test + bit set over a (possibly sharded)
-/// window.
-pub(crate) struct BitSink<'a>(pub BitmapWordsMut<'a>);
-
-impl<M> ChangeSink<M> for BitSink<'_> {
-    #[inline]
-    fn is_first(&self, v: VertexId, _curr: &M, _prev: &M) -> bool {
-        !self.0.test(v)
-    }
-
-    #[inline]
-    fn mark(&mut self, v: VertexId) {
-        self.0.set(v);
-    }
-}
 
 /// Degree thresholds separating the three worklists.
 ///
@@ -337,20 +78,11 @@ impl Worklists {
     ) {
         self.clear();
         for &v in active {
-            self.classify_one(v, csr, thresholds);
-        }
-    }
-
-    /// Classifies a single vertex into its list without clearing — the
-    /// streaming form backing both [`Self::classify_into`] and the
-    /// bitmap-mode drain that classifies straight out of
-    /// [`ThreadBins`] without materializing the concatenated worklist.
-    #[inline]
-    pub fn classify_one(&mut self, v: VertexId, csr: &Csr, thresholds: ClassifyThresholds) {
-        match thresholds.classify(csr.degree(v)) {
-            SchedUnit::Thread => self.small.push(v),
-            SchedUnit::Warp => self.med.push(v),
-            SchedUnit::Cta => self.large.push(v),
+            match thresholds.classify(csr.degree(v)) {
+                SchedUnit::Thread => self.small.push(v),
+                SchedUnit::Warp => self.med.push(v),
+                SchedUnit::Cta => self.large.push(v),
+            }
         }
     }
 
@@ -423,12 +155,6 @@ pub struct ThreadBins {
     /// Records dropped because of overflow (kept for diagnostics; the
     /// ballot filter regenerates the full list so nothing is lost).
     dropped: u64,
-    /// Per-bin prefix offsets into the concatenation order
-    /// (`bins + 1` entries once sealed, empty while recording). Built
-    /// by [`Self::seal_prefix`] so the parallel backend can partition
-    /// the bin-resident frontier through [`Self::for_each_entry_in`]
-    /// ranges instead of materializing the concatenated list.
-    prefix: Vec<u64>,
 }
 
 impl ThreadBins {
@@ -440,7 +166,6 @@ impl ThreadBins {
             threshold,
             overflowed: false,
             dropped: 0,
-            prefix: Vec::new(),
         }
     }
 
@@ -457,10 +182,6 @@ impl ThreadBins {
     /// Records vertex `v` from simulated thread `thread`. Returns
     /// `false` (and sets the overflow flag) if the bin was full.
     pub fn record(&mut self, thread: usize, v: VertexId) -> bool {
-        debug_assert!(
-            self.prefix.is_empty(),
-            "recording into sealed bins (prefix would go stale)"
-        );
         let idx = thread % self.bins.len();
         let bin = &mut self.bins[idx];
         if bin.len() >= self.threshold {
@@ -506,81 +227,13 @@ impl ThreadBins {
         }
     }
 
-    /// Visits every recorded vertex in concatenation order (bin by
-    /// bin, entries in record order — exactly the sequence
-    /// [`Self::concatenate`] would produce, duplicates included).
-    ///
-    /// This is the bitmap-native worklist drain: the engine's bitmap
-    /// mode feeds the next iteration's degree sum, classification and
-    /// aggregation-pull marking straight from the bins, so the
-    /// duplicate-carrying online worklist need never be materialized
-    /// as a flat list.
-    pub fn for_each_entry(&self, mut f: impl FnMut(VertexId)) {
-        for bin in &self.bins {
-            for &v in bin {
-                f(v);
-            }
-        }
-    }
-
-    /// Builds the per-bin prefix offsets over the current contents —
-    /// the index [`Self::for_each_entry_in`] ranges resolve against.
-    /// Call once after the last [`Self::record`] of an iteration
-    /// (recording after sealing would silently desynchronize the
-    /// index, so [`Self::record`] debug-asserts the unsealed state).
-    pub fn seal_prefix(&mut self) {
-        self.prefix.clear();
-        self.prefix.push(0);
-        let mut acc = 0u64;
-        for bin in &self.bins {
-            acc += bin.len() as u64;
-            self.prefix.push(acc);
-        }
-    }
-
-    /// Visits the entries at concatenation positions `[lo, hi)` — the
-    /// exact subsequence `[Self::concatenate]`'s output would hold
-    /// there, duplicates included. Contiguous ranges visited in order
-    /// therefore reproduce [`Self::for_each_entry`] exactly, which is
-    /// how the parallel backend partitions a bin-resident frontier
-    /// across workers without materializing it. Requires a current
-    /// [`Self::seal_prefix`]; resolves the starting bin by binary
-    /// search, so a worker pays O(log bins + entries visited).
-    pub fn for_each_entry_in(&self, lo: u64, hi: u64, mut f: impl FnMut(VertexId)) {
-        debug_assert_eq!(self.prefix.len(), self.bins.len() + 1, "prefix not sealed");
-        debug_assert_eq!(
-            *self.prefix.last().expect("sealed prefix"),
-            self.total_recorded(),
-            "prefix stale: bins recorded after seal_prefix"
-        );
-        if lo >= hi {
-            return;
-        }
-        // Largest bin whose prefix start is <= lo (prefix[0] == 0, so
-        // the partition point is always >= 1).
-        let mut b = self.prefix.partition_point(|&p| p <= lo) - 1;
-        let mut pos = lo;
-        while pos < hi && b < self.bins.len() {
-            let bin = &self.bins[b];
-            let start = (pos - self.prefix[b]) as usize;
-            let end = (hi - self.prefix[b]).min(bin.len() as u64) as usize;
-            for &v in &bin[start..end] {
-                f(v);
-            }
-            pos = self.prefix[b] + end as u64;
-            b += 1;
-        }
-    }
-
-    /// Clears all bins, the overflow flag and the prefix index for the
-    /// next iteration.
+    /// Clears all bins and the overflow flag for the next iteration.
     pub fn clear(&mut self) {
         for bin in &mut self.bins {
             bin.clear();
         }
         self.overflowed = false;
         self.dropped = 0;
-        self.prefix.clear();
     }
 
     /// Reshapes to `num_threads` bins with `threshold` capacity and
@@ -679,187 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn for_each_entry_matches_concatenation_order() {
-        let mut bins = ThreadBins::new(3, 8);
-        bins.record(1, 4);
-        bins.record(0, 7);
-        bins.record(2, 9);
-        bins.record(0, 7); // duplicate kept, in record order
-        let mut seen = Vec::new();
-        bins.for_each_entry(|v| seen.push(v));
-        assert_eq!(seen, bins.concatenate());
-        assert_eq!(seen, vec![7, 7, 4, 9]);
-    }
-
-    #[test]
-    fn entry_ranges_partition_the_concatenation() {
-        // Uneven bins, including empty ones, so the binary search has
-        // runs of equal prefix entries to step over.
-        let mut bins = ThreadBins::new(5, 8);
-        for (t, v) in [(0, 7), (0, 7), (2, 4), (2, 9), (2, 1), (4, 3)] {
-            bins.record(t, v);
-        }
-        bins.seal_prefix();
-        let full = bins.concatenate();
-        let total = bins.total_recorded();
-        for parts in 1..=4u64 {
-            let mut seen = Vec::new();
-            for w in 0..parts {
-                let lo = total * w / parts;
-                let hi = total * (w + 1) / parts;
-                bins.for_each_entry_in(lo, hi, |v| seen.push(v));
-            }
-            assert_eq!(seen, full, "{parts}-way partition diverged");
-        }
-        // Out-of-range and empty ranges are harmless.
-        bins.for_each_entry_in(3, 3, |_| panic!("empty range visited"));
-        let mut tail = Vec::new();
-        bins.for_each_entry_in(total - 1, total + 5, |v| tail.push(v));
-        assert_eq!(tail, vec![full[full.len() - 1]]);
-        // Clearing invalidates the prefix so recording is legal again.
-        bins.clear();
-        assert!(bins.record(1, 2));
-    }
-
-    #[test]
-    fn classify_one_streams_like_classify_into() {
-        let csr = star_csr(200);
-        let active = [0u32, 1, 2];
-        let mut batch = Worklists::default();
-        batch.classify_into(&active, &csr, ClassifyThresholds::default());
-        let mut streamed = Worklists::default();
-        streamed.clear();
-        for &v in &active {
-            streamed.classify_one(v, &csr, ClassifyThresholds::default());
-        }
-        assert_eq!(streamed, batch);
-    }
-
-    #[test]
-    fn drain_nonzero_words_visits_and_clears() {
-        let mut b = FrontierBitmap::new(200);
-        b.set(3);
-        b.set(64);
-        b.set(65);
-        b.set(199);
-        let mut words = Vec::new();
-        b.drain_nonzero_words(|w| words.push(w));
-        assert_eq!(words, vec![0, 1, 3]);
-        assert!(b.is_empty());
-    }
-
-    #[test]
     fn thread_index_wraps() {
         let mut bins = ThreadBins::new(4, 16);
         bins.record(7, 42); // 7 % 4 == 3
         assert_eq!(bins.concatenate(), vec![42]);
-    }
-
-    #[test]
-    fn bitmap_set_test_unset() {
-        let mut b = FrontierBitmap::new(130);
-        assert_eq!(b.num_words(), 3);
-        for v in [0u32, 63, 64, 129] {
-            assert!(!b.test(v));
-            b.set(v);
-            assert!(b.test(v));
-        }
-        assert_eq!(b.count(), 4);
-        b.unset(64);
-        assert!(!b.test(64));
-        assert_eq!(b.count(), 3);
-        assert!(!b.is_empty());
-        b.clear_all();
-        assert!(b.is_empty());
-        assert_eq!(b.count(), 0);
-    }
-
-    #[test]
-    fn bitmap_iterates_ascending() {
-        let mut b = FrontierBitmap::new(200);
-        for v in [199u32, 0, 64, 63, 3, 130] {
-            b.set(v);
-        }
-        let got: Vec<VertexId> = b.iter().collect();
-        assert_eq!(got, vec![0, 3, 63, 64, 130, 199]);
-        let mut out = Vec::new();
-        b.collect_into(&mut out);
-        assert_eq!(out, got);
-    }
-
-    #[test]
-    fn bitmap_roundtrips_worklist_at_misaligned_len() {
-        // 97 is warp- and word-misaligned: the tail word is partial.
-        let list = vec![1u32, 5, 31, 32, 64, 95, 96];
-        let mut b = FrontierBitmap::default();
-        b.fill_from_list(97, &list);
-        assert_eq!(b.count(), list.len() as u64);
-        let mut out = Vec::new();
-        b.collect_into(&mut out);
-        assert_eq!(out, list);
-    }
-
-    #[test]
-    fn bitmap_drain_visits_and_clears() {
-        let mut b = FrontierBitmap::new(100);
-        b.set(2);
-        b.set(66);
-        let mut seen = Vec::new();
-        b.drain_for_each(|v| seen.push(v));
-        assert_eq!(seen, vec![2, 66]);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn bitmap_reset_reuses_shape() {
-        let mut a = FrontierBitmap::new(70);
-        a.set(1);
-        a.set(69);
-        a.reset(70);
-        assert!(a.is_empty());
-        assert_eq!(a.num_vertices(), 70);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bitmap_rejects_phantom_tail_vertices() {
-        // 97 vertices leave a partial tail word; bit 100 physically
-        // exists but must not be addressable.
-        let mut b = FrontierBitmap::new(97);
-        b.set(100);
-    }
-
-    #[test]
-    fn bitmap_word_window_is_offset_aware() {
-        let mut b = FrontierBitmap::new(256);
-        let words = b.words_mut();
-        let (lo, hi) = words.split_at_mut(2);
-        let mut w0 = BitmapWordsMut::new(0, lo);
-        let mut w1 = BitmapWordsMut::new(2, hi);
-        w0.set(5);
-        w1.set(128);
-        w1.set(255);
-        assert!(w0.test(5));
-        assert!(!w1.test(129));
-        assert!(w1.test(255));
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![5, 128, 255]);
-    }
-
-    #[test]
-    fn change_sinks_agree() {
-        let mut list = Vec::new();
-        let mut bits = FrontierBitmap::new(64);
-        let mut ls = ListSink(&mut list);
-        let mut bs = BitSink(bits.view_mut());
-        // Unchanged vertex: both report first change.
-        assert!(ChangeSink::<u32>::is_first(&ls, 7, &1, &1));
-        assert!(ChangeSink::<u32>::is_first(&bs, 7, &1, &1));
-        ChangeSink::<u32>::mark(&mut ls, 7);
-        ChangeSink::<u32>::mark(&mut bs, 7);
-        // Changed vertex (curr != prev; bit set): both report not-first.
-        assert!(!ChangeSink::<u32>::is_first(&ls, 7, &2, &1));
-        assert!(!ChangeSink::<u32>::is_first(&bs, 7, &2, &1));
-        assert_eq!(list, vec![7]);
-        assert!(bits.test(7));
     }
 }

@@ -85,9 +85,7 @@ pub fn chunk_range(len: usize, parts: usize, w: usize) -> (usize, usize) {
 /// [`chunk_range`] with boundaries rounded to `align` multiples (the
 /// final fence clamps to `len`): partitions `ceil(len / align)` whole
 /// units, so no worker range ever splits a unit. The engine uses this
-/// to keep ballot-scan partitions on 32-vertex warp chunks, bitmap
-/// partitions on 64-vertex words and chunked-layout metadata sweeps on
-/// [`crate::metadata::CHUNK_LANES`] boundaries.
+/// to keep ballot-scan partitions on 32-vertex warp chunks.
 pub fn chunk_range_aligned(len: usize, parts: usize, w: usize, align: usize) -> (usize, usize) {
     debug_assert!(align > 0);
     let (u0, u1) = chunk_range(len.div_ceil(align), parts, w);
@@ -199,24 +197,9 @@ impl WorkerPool {
     /// Runs `f(w, &mut workers[w], shard_offset, shard)` on every worker
     /// concurrently, where `shard` is the `[bounds[w], bounds[w+1])`
     /// range of `data` — the destination-sharded form the push kernels
-    /// use under both [`crate::config::PushStrategy`]s (the strategy
-    /// only changes which edges a worker *traverses*; the metadata
-    /// shard it may write is this range either way). `bounds` must be
-    /// a monotone fence list with `threads + 1` entries covering
-    /// `data`.
-    pub fn for_each_worker_sharded<T: Send, U: Send>(
-        &self,
-        workers: &mut [T],
-        data: &mut [U],
-        bounds: &[u32],
-        f: impl Fn(usize, &mut T, usize, &mut [U]) + Sync,
-    ) {
-        if let Err(p) = self.try_for_each_worker_sharded(workers, data, bounds, f) {
-            panic!("engine worker {} panicked: {}", p.worker, p.payload);
-        }
-    }
-
-    /// Fallible form of [`Self::for_each_worker_sharded`].
+    /// use (each worker writes only its metadata shard). `bounds` must
+    /// be a monotone fence list with `threads + 1` entries covering
+    /// `data`. A worker panic is contained and returned.
     pub fn try_for_each_worker_sharded<T: Send, U: Send>(
         &self,
         workers: &mut [T],
@@ -234,55 +217,6 @@ impl WorkerPool {
             // SAFETY: same claim, second shard set.
             let (off, shard) = unsafe { shards.shard(w) };
             f(w, &mut slot[0], off, shard);
-        })
-    }
-
-    /// The two-slice form of [`Self::for_each_worker_sharded`]: worker
-    /// `w` additionally receives the `[bounds2[w], bounds2[w+1])` range
-    /// of `data2`. The engine's bitmap push mode uses this to hand each
-    /// destination shard its word-aligned window of the changed-vertex
-    /// bitmap, so first-change dedup is an atomic-free bit set.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_worker_sharded2<T: Send, U: Send, V: Send>(
-        &self,
-        workers: &mut [T],
-        data: &mut [U],
-        bounds: &[u32],
-        data2: &mut [V],
-        bounds2: &[u32],
-        f: impl Fn(usize, &mut T, usize, &mut [U], usize, &mut [V]) + Sync,
-    ) {
-        if let Err(p) = self.try_for_each_worker_sharded2(workers, data, bounds, data2, bounds2, f)
-        {
-            panic!("engine worker {} panicked: {}", p.worker, p.payload);
-        }
-    }
-
-    /// Fallible form of [`Self::for_each_worker_sharded2`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_for_each_worker_sharded2<T: Send, U: Send, V: Send>(
-        &self,
-        workers: &mut [T],
-        data: &mut [U],
-        bounds: &[u32],
-        data2: &mut [V],
-        bounds2: &[u32],
-        f: impl Fn(usize, &mut T, usize, &mut [U], usize, &mut [V]) + Sync,
-    ) -> Result<(), WorkerPanic> {
-        assert_eq!(workers.len(), self.threads, "one scratch slot per worker");
-        assert_eq!(bounds.len(), self.threads + 1, "one shard per worker");
-        assert_eq!(bounds2.len(), self.threads + 1, "one shard per worker");
-        let slots = SliceShards::new(workers, &self.unit_fences);
-        let shards = SliceShards::new(data, bounds);
-        let shards2 = SliceShards::new(data2, bounds2);
-        self.try_run(&|w| {
-            // SAFETY: each worker index runs exactly once per region.
-            let (_, slot) = unsafe { slots.shard(w) };
-            // SAFETY: same claim, second shard set.
-            let (off, shard) = unsafe { shards.shard(w) };
-            // SAFETY: same claim, third shard set.
-            let (off2, shard2) = unsafe { shards2.shard(w) };
-            f(w, &mut slot[0], off, shard, off2, shard2);
         })
     }
 
@@ -718,35 +652,6 @@ mod tests {
             })
             .expect_err("contained");
         assert_eq!(err.payload, "formatted 42");
-    }
-
-    #[test]
-    fn sharded2_hands_out_both_slices() {
-        let pool = WorkerPool::new(2);
-        let mut scratch = vec![0usize; 2];
-        let mut verts = vec![0u32; 10];
-        let vbounds = [0u32, 6, 10];
-        let mut words = vec![0u64; 3];
-        let wbounds = [0u32, 1, 3];
-        pool.for_each_worker_sharded2(
-            &mut scratch,
-            &mut verts,
-            &vbounds,
-            &mut words,
-            &wbounds,
-            |w, slot, off, shard, woff, wshard| {
-                *slot = w + 1;
-                for (i, x) in shard.iter_mut().enumerate() {
-                    *x = (off + i) as u32;
-                }
-                for word in wshard.iter_mut() {
-                    *word = woff as u64 + 1;
-                }
-            },
-        );
-        assert_eq!(scratch, vec![1, 2]);
-        assert_eq!(verts, (0..10).collect::<Vec<u32>>());
-        assert_eq!(words, vec![1, 2, 2]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Durable checkpoints: a versioned binary wire format for
 //! [`RunCheckpoint`] plus a crash-safe, directory-backed store.
 //!
-//! PR 8 made aborted runs resumable *in process*; this module makes
-//! them survive the process. A [`DurableCheckpoint`] (a checkpoint
+//! [`RunCheckpoint`]s make aborted runs resumable *in process*; this
+//! module makes them survive the process. A [`DurableCheckpoint`] (a checkpoint
 //! plus its serving identity: ticket and seed) encodes to a
 //! self-describing blob, a [`CheckpointStore`] persists blobs keyed by
 //! ticket, and the serving tier spills final-failure checkpoints
@@ -13,15 +13,15 @@
 //!
 //! # Wire format (`SXCP`, version 1)
 //!
-//! Hand-rolled and dependency-free (the workspace builds offline; the
-//! in-tree `serde` is an API stub). All integers are little-endian.
+//! Hand-rolled and dependency-free (the workspace builds offline). All
+//! integers are little-endian.
 //!
 //! ```text
 //! header   magic "SXCP" · version u16 · meta type tag u8 · meta size u8
 //! section  id u8 · payload len u64 · payload · CRC-32(payload) u32
 //!   1 IDENT    ticket, seed, num_vertices, iteration, edges_examined,
-//!              prev_dir, fusion (present, dir, all-launched), layout,
-//!              algorithm string
+//!              prev_dir, fusion (present, dir, all-launched), layout
+//!              (always 0, flat metadata), algorithm string
 //!   2 META     element count · count × meta-size element bytes
 //!   3 FRONTIER vertex count · count × u32
 //!   4 LOG      record count · per-iteration records (31 bytes each)
@@ -59,12 +59,10 @@
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::RunCheckpoint;
-use crate::config::MetadataLayout;
 use crate::error::SimdxError;
 use crate::fault;
 use crate::filters::FilterKind;
 use crate::jit::{ActivationLog, IterationRecord};
-use crate::metadata::MetadataStore;
 use simdx_gpu::executor::ExecutorStats;
 use simdx_gpu::memory::TrafficCounter;
 use simdx_graph::csr::Direction;
@@ -245,17 +243,16 @@ fn filter_byte(filter: FilterKind) -> u8 {
     }
 }
 
-fn layout_byte(layout: MetadataLayout) -> u8 {
-    match layout {
-        MetadataLayout::Flat => 0,
-        MetadataLayout::Chunked => 1,
-    }
-}
+/// The IDENT layout byte: 0 is the flat metadata layout, the only one
+/// the engine has. Version 1 blobs written by older builds may carry 1
+/// (a removed warp-chunked layout with the same element order), which
+/// decodes to a typed error.
+const LAYOUT_FLAT: u8 = 0;
 
 /// Serializes a durable checkpoint to its self-describing blob.
 pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     let cp = &frame.checkpoint;
-    let meta = cp.meta.as_slice();
+    let meta = &cp.meta;
     let algo = cp.algorithm.as_bytes();
 
     let ident_len = IDENT_FIXED_BYTES + algo.len();
@@ -282,7 +279,7 @@ pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     ident.push(cp.fusion.0.is_some() as u8);
     ident.push(cp.fusion.0.map_or(0, dir_byte));
     ident.push(cp.fusion.1 as u8);
-    ident.push(layout_byte(cp.meta.layout()));
+    ident.push(LAYOUT_FLAT);
     put_u32(&mut ident, algo.len() as u32);
     ident.extend_from_slice(algo);
     put_section(&mut out, SECTION_IDENT, &ident);
@@ -500,11 +497,10 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
     let fusion_present = decode_bool(ir.u8("fusion present")?, "fusion present")?;
     let fusion_dir = ir.u8("fusion direction")?;
     let fusion_all = decode_bool(ir.u8("fusion all-launched")?, "fusion all-launched")?;
-    let layout = match ir.u8("metadata layout")? {
-        0 => MetadataLayout::Flat,
-        1 => MetadataLayout::Chunked,
-        other => return Err(corrupt(format!("bad metadata layout byte {other}"))),
-    };
+    match ir.u8("metadata layout")? {
+        LAYOUT_FLAT => {}
+        other => return Err(corrupt(format!("unsupported metadata layout byte {other}"))),
+    }
     let algo_len = ir.u32("algorithm length")? as usize;
     let algo = ir.take(algo_len, "algorithm string")?;
     let algorithm = std::str::from_utf8(algo)
@@ -545,7 +541,6 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
     for chunk in elems.chunks_exact(M::SIZE) {
         meta.push(M::read_le(chunk));
     }
-    let meta = MetadataStore::from_vec(layout, meta);
 
     // FRONTIER
     let mut fr = Reader {
@@ -837,10 +832,7 @@ mod tests {
             checkpoint: RunCheckpoint {
                 algorithm: "levels".to_string(),
                 num_vertices: 4,
-                meta: MetadataStore::from_vec(
-                    MetadataLayout::Chunked,
-                    vec![0, 1, u32::MAX, u32::MAX],
-                ),
+                meta: vec![0, 1, u32::MAX, u32::MAX],
                 frontier: vec![1, 3],
                 log: ActivationLog {
                     records: vec![IterationRecord {
@@ -895,8 +887,7 @@ mod tests {
         let cp = &back.checkpoint;
         assert_eq!(cp.algorithm, "levels");
         assert_eq!(cp.num_vertices, 4);
-        assert_eq!(cp.meta.as_slice(), frame.checkpoint.meta.as_slice());
-        assert_eq!(cp.meta.layout(), MetadataLayout::Chunked);
+        assert_eq!(cp.meta, frame.checkpoint.meta);
         assert_eq!(cp.frontier, vec![1, 3]);
         assert_eq!(cp.log, frame.checkpoint.log);
         assert_eq!(cp.prev_dir, Direction::Pull);
@@ -916,10 +907,7 @@ mod tests {
             checkpoint: RunCheckpoint {
                 algorithm: "pr".to_string(),
                 num_vertices: 3,
-                meta: MetadataStore::from_vec(
-                    MetadataLayout::Flat,
-                    vec![0.25f32, f32::from_bits(0x7FC0_1234), -0.0],
-                ),
+                meta: vec![0.25f32, f32::from_bits(0x7FC0_1234), -0.0],
                 frontier: vec![0],
                 log: ActivationLog::default(),
                 prev_dir: Direction::Push,

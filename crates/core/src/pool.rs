@@ -166,7 +166,7 @@ impl ArenaPool {
 
     /// Pops an idle arena of type `T`, or `None` when the caller should
     /// create one (the pool itself cannot: construction needs the
-    /// session's worker count and bitmap pre-sizing).
+    /// session's worker count).
     pub fn checkout<T: Any + Send>(&self) -> Option<T> {
         let boxed = self.lock().get_mut(&TypeId::of::<T>())?.pop()?;
         Some(*boxed.downcast::<T>().expect("arena stash keyed by TypeId"))

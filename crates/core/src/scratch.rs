@@ -4,7 +4,7 @@
 //! lists, task-cost vectors, the changed list and the dirty stamps on
 //! every iteration — on iteration-heavy graphs (road networks, long
 //! paths) the allocator dominated the host profile. [`IterScratch`]
-//! owns all of those buffers for the lifetime of one `Engine::run` call;
+//! owns all of those buffers for the lifetime of one engine run;
 //! every iteration clears in place and refills, and the parallel
 //! backend's per-worker partitions live in [`WorkerScratch`] so the hot
 //! path performs no allocation in steady state in either exec mode.
@@ -18,88 +18,61 @@
 //! between serving threads through the pool, though never *shared*:
 //! exactly one query owns an arena at a time.
 
-use crate::config::{FrontierRepr, MetadataLayout};
 use crate::filters::ballot::WarpScanScratch;
-use crate::frontier::{FrontierBitmap, ThreadBins, Worklists, WORD_BITS};
-use crate::metadata::CHUNK_LANES;
+use crate::frontier::{ThreadBins, Worklists};
+use crate::grid::GridCsr;
+use crate::par::{WorkerPanic, WorkerPool};
 use simdx_gpu::Cost;
-use simdx_graph::csr::Csr;
-use simdx_graph::VertexId;
+use simdx_graph::csr::{Csr, Direction};
+use simdx_graph::{Graph, VertexId};
 
-/// Destination-shard fences for parallel push, computed from the
-/// pull-orientation degrees — lazily once per `Engine::run`, or once
-/// per graph at `Runtime::bind` time for the session API.
+/// The bind-time push sharding of a parallel runtime, computed once
+/// per graph by `Runtime::bind`.
 #[derive(Clone, Debug)]
-pub(crate) struct PushFences {
-    /// Vertex fences over `metadata_curr` (`threads + 1` entries). In
-    /// bitmap mode the inner fences are rounded down to word (64)
-    /// multiples so every shard covers whole bitmap words; in the
-    /// chunked metadata layout they are rounded to 32-vertex chunk
-    /// multiples so no shard splits a chunk (word alignment already
-    /// implies chunk alignment).
-    pub verts: Vec<u32>,
-    /// The matching word fences over the changed-bitmap's backing
-    /// words (empty in list mode).
-    pub words: Vec<u32>,
+pub(crate) struct PushShards {
+    /// Destination-shard vertex fences over `metadata_curr`
+    /// (`threads + 1` entries): contiguous ranges balanced by
+    /// incoming-edge volume, so push workers see comparable apply load.
+    pub fences: Vec<u32>,
+    /// The push CSR's edges bucketed by those fences, so worker `s`
+    /// traverses only the edges landing in its shard.
+    pub grid: GridCsr,
 }
 
-impl PushFences {
-    /// Destination-shard fences over `rev_csr` (the transpose of the
-    /// push scan direction): contiguous vertex ranges balanced by
-    /// incoming-edge volume, so push workers see comparable apply load.
-    ///
-    /// In bitmap mode the inner fences are rounded down to word (64)
-    /// multiples — like the ballot scan's warp alignment, one level up
-    /// — so every shard owns whole words of the changed bitmap and the
-    /// matching word fences are emitted alongside. In the chunked
-    /// metadata layout the fences are additionally rounded to 32-vertex
-    /// chunk multiples, so no destination shard splits a metadata chunk
-    /// (word alignment already implies it in bitmap mode — one word is
-    /// exactly two chunks). Destination sharding is exact for *any*
-    /// fence positions (each destination's update sequence is
-    /// independent of them), so the rounding cannot affect results.
-    pub fn compute(
-        rev_csr: &Csr,
-        parts: usize,
-        repr: FrontierRepr,
-        layout: MetadataLayout,
-    ) -> Self {
-        let n = rev_csr.num_vertices();
-        // +1 per vertex keeps zero-degree stretches from collapsing
-        // every shard boundary onto the hubs.
-        let total: u64 = rev_csr.num_edges() + n as u64;
-        let mut verts = Vec::with_capacity(parts + 1);
-        verts.push(0u32);
-        let mut acc = 0u64;
-        let mut v = 0u32;
-        for p in 1..parts as u64 {
-            let target = total * p / parts as u64;
-            while v < n && acc < target {
-                acc += rev_csr.degree(v) as u64 + 1;
-                v += 1;
-            }
-            verts.push(v);
-        }
-        verts.push(n);
-        if repr == FrontierRepr::List && layout == MetadataLayout::Chunked {
-            for f in &mut verts[1..parts] {
-                *f -= *f % CHUNK_LANES as u32;
-            }
-        }
-        let words = match repr {
-            FrontierRepr::List => Vec::new(),
-            FrontierRepr::Bitmap => {
-                let num_words = (n as usize).div_ceil(WORD_BITS) as u32;
-                for f in &mut verts[1..parts] {
-                    *f -= *f % WORD_BITS as u32;
-                }
-                let mut words: Vec<u32> = verts.iter().map(|&f| f / WORD_BITS as u32).collect();
-                words[parts] = num_words;
-                words
-            }
-        };
-        PushFences { verts, words }
+impl PushShards {
+    /// Computes the fences over the pull CSR (the transpose of the push
+    /// scan direction) and buckets the push CSR by them, splitting the
+    /// bucketing sweep over `pool`. Destination sharding is exact for
+    /// *any* fence positions (each destination's update sequence is
+    /// independent of them), so the balancing only affects speed.
+    pub fn build(graph: &Graph, pool: &WorkerPool) -> Result<Self, WorkerPanic> {
+        let fences = push_fences(graph.csr(Direction::Pull), pool.threads());
+        let grid = GridCsr::build_with_pool(graph.csr(Direction::Push), &fences, pool)?;
+        Ok(Self { fences, grid })
     }
+}
+
+/// Degree-balanced destination fences over `rev_csr`: `parts + 1`
+/// monotone entries from `0` to `|V|`.
+fn push_fences(rev_csr: &Csr, parts: usize) -> Vec<u32> {
+    let n = rev_csr.num_vertices();
+    // +1 per vertex keeps zero-degree stretches from collapsing every
+    // shard boundary onto the hubs.
+    let total: u64 = rev_csr.num_edges() + n as u64;
+    let mut fences = Vec::with_capacity(parts + 1);
+    fences.push(0u32);
+    let mut acc = 0u64;
+    let mut v = 0u32;
+    for p in 1..parts as u64 {
+        let target = total * p / parts as u64;
+        while v < n && acc < target {
+            acc += rev_csr.degree(v) as u64 + 1;
+            v += 1;
+        }
+        fences.push(v);
+    }
+    fences.push(n);
+    fences
 }
 
 /// One online-filter activation record, deferred by a parallel worker
@@ -163,20 +136,9 @@ pub(crate) struct IterScratch<M> {
     /// Cached identical-cost vector for the pull-vote candidate scan
     /// (its length only depends on |V|, so it is built once).
     pub vote_scan_tasks: Vec<Cost>,
-    /// Vertices whose metadata first changed this iteration (list
-    /// mode).
+    /// Vertices whose metadata first changed this iteration.
     pub changed: Vec<VertexId>,
-    /// Bitmap-mode changed set: bit `v` set iff `curr[v] != prev[v]`
-    /// this iteration. Doubles as the ballot scan's occupancy and the
-    /// push first-change dedup; drained (publish + clear) at the end
-    /// of every iteration.
-    pub changed_bits: FrontierBitmap,
-    /// Bitmap-mode pull-candidate dedup (replaces the dirty stamps);
-    /// drained into the sorted candidate list each aggregation-pull
-    /// iteration.
-    pub cand_bits: FrontierBitmap,
-    /// Aggregation-pull dirty stamps, sized |V| once per run (list
-    /// mode).
+    /// Aggregation-pull dirty stamps, sized |V| once per run.
     pub dirty_stamp: Vec<u32>,
     /// Merged record list (sort + replay buffer).
     pub records: Vec<RecordEntry>,
@@ -199,8 +161,6 @@ impl<M> IterScratch<M> {
             mgmt_tasks: Vec::new(),
             vote_scan_tasks: Vec::new(),
             changed: Vec::new(),
-            changed_bits: FrontierBitmap::default(),
-            cand_bits: FrontierBitmap::default(),
             dirty_stamp: Vec::new(),
             records: Vec::new(),
             bins: ThreadBins::new(1, 0),
@@ -231,9 +191,9 @@ impl<M> IterScratch<M> {
     /// bound graph: `vote_scan_tasks` — a pure function of `|V|` and
     /// cost constants, length-gated in the engine loop.
     ///
-    /// (The push destination fences live on the `BoundGraph`, not
-    /// here: `Runtime::bind` computes them once per graph for every
-    /// parallel runtime.)
+    /// (The push shards live on the `BoundGraph`, not here:
+    /// `Runtime::bind` computes them once per graph for every parallel
+    /// runtime.)
     ///
     /// `dirty_stamp` is the one buffer whose *contents* could corrupt a
     /// reused run: it is keyed by iteration number, which restarts at 0
@@ -257,8 +217,6 @@ impl<M> IterScratch<M> {
         self.tasks.clear();
         self.mgmt_tasks.clear();
         self.changed.clear();
-        self.changed_bits.clear_all();
-        self.cand_bits.clear_all();
         self.dirty_stamp.clear();
         self.records.clear();
         self.bins.clear();
@@ -291,8 +249,6 @@ impl<M> IterScratch<M> {
         debug_assert!(self.tasks.is_empty(), "task-cost vector not cleared");
         debug_assert!(self.mgmt_tasks.is_empty(), "mgmt-cost vector not cleared");
         debug_assert!(self.changed.is_empty(), "changed list not published");
-        debug_assert!(self.changed_bits.is_empty(), "changed bitmap not drained");
-        debug_assert!(self.cand_bits.is_empty(), "candidate bitmap not drained");
         debug_assert!(self.dirty_stamp.is_empty(), "dirty stamps not invalidated");
         debug_assert!(self.records.is_empty(), "deferred records not replayed");
         debug_assert_eq!(self.bins.total_recorded(), 0, "thread bins carry entries");

@@ -1,18 +1,16 @@
 //! The session API: amortized engine reuse for repeated queries.
 //!
-//! The one-shot [`crate::engine::Engine`] pays its full setup cost on
-//! every call — worker-pool spawn, scratch-arena allocation,
-//! degree-balanced destination fences — which is exactly the per-query
-//! overhead a service answering many small queries (multi-source SSSP,
-//! BFS per user request) cannot afford. This module splits that cost
-//! into three lifetimes:
+//! An engine run needs a worker pool, scratch arenas and
+//! degree-balanced push shards; paying for them per query is exactly
+//! the overhead a service answering many small queries (multi-source
+//! SSSP, BFS per user request) cannot afford. This module splits that
+//! cost into three lifetimes:
 //!
 //! * [`Runtime`] — owns the resolved [`EngineConfig`] and the
 //!   persistent [`WorkerPool`]. Built once per process/service.
 //! * [`BoundGraph`] — [`Runtime::bind`] precomputes the CSR-derived
-//!   per-graph state (degree-balanced push shards with chunk/word
-//!   aligned partition fences, bitmap word counts) and owns the
-//!   reusable scratch arenas. Built once per graph.
+//!   per-graph state (degree-balanced push shards and their grid CSR)
+//!   and owns the reusable scratch arenas. Built once per graph.
 //! * [`RunBuilder`] — one query: `bound.run(program).source(v)
 //!   .max_iterations(n).observe(hook).execute()`. Costs only the work
 //!   of the query itself; every allocation is reused.
@@ -28,8 +26,8 @@
 //! at the bottom of this module): any number of threads may run
 //! queries over one bound graph concurrently. The sharing model:
 //!
-//! * The bind-time artifacts (push fences, grid CSR, bitmap word
-//!   count) are immutable after bind and live in an `Arc`-shared core.
+//! * The bind-time artifacts (push fences and grid CSR) are immutable
+//!   after bind and live in an `Arc`-shared core.
 //! * Worker pools live in a [`PoolStash`]: each query checks one out
 //!   for its duration, so concurrent queries never share a pool, and a
 //!   pool poisoned by a contained worker panic is discarded at
@@ -47,11 +45,10 @@
 //!
 //! # Determinism
 //!
-//! Session reuse is covered by the same bit-equality contract as every
-//! other host knob (`crates/core/README.md`): a reused `BoundGraph`
-//! produces reports **bit-identical** to a fresh engine — identical
-//! metadata, activation logs and simulated cycle counts — across the
-//! full exec × frontier-repr × metadata-layout matrix
+//! Session reuse is covered by the same bit-equality contract as the
+//! exec mode (`crates/core/README.md`): a reused `BoundGraph` produces
+//! reports **bit-identical** to a fresh engine — identical metadata,
+//! activation logs and simulated cycle counts — in both exec modes
 //! (`tests/session_equivalence.rs`). The engine enforces the invariant
 //! at every `execute()` entry: all transient scratch is cleared and
 //! debug-asserted clean, so one query can never observe a previous
@@ -117,18 +114,16 @@ use crate::sync::Arc;
 
 use crate::acc::{AccProgram, SourcedProgram};
 use crate::checkpoint::{RunAborted, RunCheckpoint};
-use crate::config::{DegradePolicy, EngineConfig, FrontierRepr, PushStrategy};
+use crate::config::{DegradePolicy, EngineConfig};
 use crate::engine::{Engine, SessionCtx};
 use crate::error::SimdxError;
-use crate::frontier::WORD_BITS;
 use crate::grid::GridCsr;
 use crate::jit::IterationRecord;
 use crate::metrics::RunResult;
 use crate::par::{payload_string, WorkerPool};
 use crate::pool::{ArenaPool, PoolStash};
-use crate::scratch::{IterScratch, PushFences};
+use crate::scratch::{IterScratch, PushShards};
 use crate::supervise::{AbortReason, CancelToken, Supervisor};
-use simdx_graph::csr::Direction;
 use simdx_graph::{Graph, VertexId};
 
 /// One entry of [`BoundGraph::run_batch_partial`]'s return value: the
@@ -204,10 +199,8 @@ impl Runtime {
     }
 
     /// Binds a graph: precomputes the CSR-derived state every query
-    /// needs — degree-balanced push destination shards with their
-    /// chunk/word-aligned partition fences (parallel mode), the
-    /// destination-bucketed [`GridCsr`] those fences define (parallel
-    /// mode under [`PushStrategy::Grid`]) and the bitmap word count —
+    /// needs — in parallel mode, degree-balanced push destination
+    /// fences and the destination-bucketed [`GridCsr`] they define —
     /// and allocates the reusable scratch arenas lazily per metadata
     /// type.
     ///
@@ -232,45 +225,29 @@ impl Runtime {
         &'rt self,
         graph: &'g Graph,
     ) -> Result<BoundGraph<'rt, 'g>, SimdxError> {
-        let fences = (self.threads() > 1).then(|| {
-            PushFences::compute(
-                graph.csr(Direction::Pull),
-                self.threads(),
-                self.config.frontier,
-                self.config.layout,
-            )
-        });
         // Push always scatters over the out-CSR; the grid buckets
         // exactly those edges by the destination shards the run-time
         // sharding will use, so the two views can never disagree.
         // Deliberately built even under `DirectionPolicy::FixedPull`:
         // the engine consults `AccProgram::direction` *before* the
         // policy (k-Core forces Push unconditionally), so any parallel
-        // grid runtime can reach the grid push path regardless of the
+        // runtime can reach the parallel push path regardless of the
         // configured policy.
-        let grid = match (&fences, self.config.push) {
-            (Some(fences), PushStrategy::Grid) => {
-                // A worker panic during the build poisons the
-                // checked-out pool; the lease drop discards it.
-                let pool = self
-                    .pools
-                    .checkout()
-                    .expect("parallel runtime stashes pools");
-                Some(
-                    GridCsr::build_with_pool(graph.csr(Direction::Push), &fences.verts, &pool)
-                        .map_err(SimdxError::from)?,
-                )
-            }
-            _ => None,
+        let shards = if self.threads() > 1 {
+            // A worker panic during the build poisons the checked-out
+            // pool; the lease drop discards it.
+            let pool = self
+                .pools
+                .checkout()
+                .expect("parallel runtime stashes pools");
+            Some(PushShards::build(graph, &pool).map_err(SimdxError::from)?)
+        } else {
+            None
         };
         Ok(BoundGraph {
             runtime: self,
             graph,
-            core: Arc::new(BindArtifacts {
-                fences,
-                grid,
-                num_words: (graph.num_vertices() as usize).div_ceil(WORD_BITS),
-            }),
+            core: Arc::new(BindArtifacts { shards }),
             scratch: ArenaPool::new(SCRATCH_ARENAS_PER_TYPE),
         })
     }
@@ -281,8 +258,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("threads", &self.threads())
             .field("exec", &self.config.exec)
-            .field("frontier", &self.config.frontier)
-            .field("layout", &self.config.layout)
             .finish_non_exhaustive()
     }
 }
@@ -292,17 +267,10 @@ impl std::fmt::Debug for Runtime {
 /// can hold one handle per thread without re-borrowing the
 /// `BoundGraph` itself.
 struct BindArtifacts {
-    /// Bind-time destination-shard fences (parallel mode only): the
-    /// degree-balanced, chunk/word-aligned partition of
-    /// `metadata_curr` the push kernels shard over.
-    fences: Option<PushFences>,
-    /// Bind-time destination-bucketed grid CSR (parallel mode under
-    /// [`PushStrategy::Grid`]): one sub-CSR per destination shard, so
-    /// each push worker traverses only the edges landing in its shard.
-    grid: Option<GridCsr>,
-    /// `ceil(|V| / 64)` — the frontier-bitmap word count, precomputed
-    /// so bitmap-mode scratch is sized before the first query.
-    num_words: usize,
+    /// Bind-time push sharding (parallel mode only): the
+    /// degree-balanced partition of `metadata_curr` the push kernels
+    /// shard over, and the grid CSR that buckets each shard's edges.
+    shards: Option<PushShards>,
 }
 
 /// A graph bound to a [`Runtime`]: the immutable bind-time core plus a
@@ -331,16 +299,11 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         self.runtime
     }
 
-    /// Number of 64-bit words a frontier bitmap over this graph uses.
-    pub fn num_bitmap_words(&self) -> usize {
-        self.core.num_words
-    }
-
     /// The bind-time grid CSR, present iff this is a parallel runtime
-    /// under [`PushStrategy::Grid`] — exposed so harnesses can report
-    /// its memory cost ([`GridCsr::footprint_bytes`]).
+    /// — exposed so harnesses can report its memory cost
+    /// ([`GridCsr::footprint_bytes`]).
     pub fn grid(&self) -> Option<&GridCsr> {
-        self.core.grid.as_ref()
+        self.core.shards.as_ref().map(|shards| &shards.grid)
     }
 
     /// Drops every *idle* scratch arena. Arenas checked out by
@@ -379,11 +342,11 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     /// metadata, activation logs and simulated cycle counts — the
     /// resume contract, pinned by `tests/properties.rs`).
     ///
-    /// The checkpoint is validated against this graph, the program and
-    /// the runtime's metadata layout at [`ResumableRunBuilder::execute`]
-    /// time; a mismatch comes back as [`SimdxError::InvalidQuery`]
-    /// *with the checkpoint handed back* inside the [`RunAborted`], so
-    /// a misdirected resume never loses the snapshot. The resumed run
+    /// The checkpoint is validated against this graph and the program
+    /// at [`ResumableRunBuilder::execute`] time; a mismatch comes back
+    /// as [`SimdxError::InvalidQuery`] *with the checkpoint handed
+    /// back* inside the [`RunAborted`], so a misdirected resume never
+    /// loses the snapshot. The resumed run
     /// is itself checkpoint-armed: a second abort yields a fresh,
     /// further-along checkpoint.
     ///
@@ -486,22 +449,11 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     }
 
     /// Checks out (or creates, on a dry stash) a scratch arena for
-    /// metadata type `M`, pre-sized for this graph.
+    /// metadata type `M`.
     pub(crate) fn checkout_scratch<M: Send + 'static>(&self) -> IterScratch<M> {
         self.scratch
             .checkout::<IterScratch<M>>()
-            .unwrap_or_else(|| {
-                let mut scratch = IterScratch::<M>::new(self.runtime.threads());
-                if self.runtime.config.frontier == FrontierRepr::Bitmap {
-                    // Pre-size the reusable bitmaps to the bind-time word
-                    // count so the arena's first query allocates nothing
-                    // mid-run either.
-                    let n = self.graph.num_vertices() as usize;
-                    scratch.changed_bits.reset(n);
-                    scratch.cand_bits.reset(n);
-                }
-                scratch
-            })
+            .unwrap_or_else(|| IterScratch::<M>::new(self.runtime.threads()))
     }
 
     /// Returns a scratch arena to the pool for the next query (idle
@@ -626,8 +578,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
                 &self.runtime.config,
                 pool.as_deref(),
                 scratch,
-                self.core.fences.as_ref(),
-                self.core.grid.as_ref(),
+                self.core.shards.as_ref(),
                 max_iterations,
                 match observer {
                     Some(ref mut hook) => Some(&mut **hook),
@@ -645,7 +596,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
             {
                 // Opt-in degrade: one serial retry of the same query
                 // over the same (reset-at-entry) scratch — no pool, no
-                // fences, no grid — flagged in the report so callers
+                // push shards — flagged in the report so callers
                 // can see the query survived a worker fault. The
                 // poisoned pool was already discarded by its lease
                 // drop; the next checkout spawns a replacement. The
@@ -659,7 +610,6 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
                     &self.runtime.config,
                     None,
                     scratch,
-                    None,
                     None,
                     max_iterations,
                     match observer {
@@ -689,8 +639,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         config: &EngineConfig,
         pool: Option<&WorkerPool>,
         scratch: &mut IterScratch<P::Meta>,
-        fences: Option<&PushFences>,
-        grid: Option<&GridCsr>,
+        shards: Option<&PushShards>,
         max_iterations: u32,
         observer: Option<&mut (dyn FnMut(&IterationRecord) + '_)>,
         supervisor: &Supervisor,
@@ -708,8 +657,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
                 SessionCtx {
                     pool,
                     scratch,
-                    fences,
-                    grid,
+                    shards,
                     max_iterations,
                     observer,
                     supervisor,
@@ -750,8 +698,7 @@ const _: () = {
 };
 
 /// One query under construction against a [`BoundGraph`]; terminal
-/// [`Self::execute`] runs it. Replaces the positional
-/// `Engine::new(program, graph, config)` constructor.
+/// [`Self::execute`] runs it.
 pub struct RunBuilder<'b, 'rt, 'g, P: AccProgram> {
     bound: &'b BoundGraph<'rt, 'g>,
     program: P,
@@ -920,12 +867,10 @@ impl<'b, 'rt, 'g, P: AccProgram> ResumableRunBuilder<'b, 'rt, 'g, P> {
     /// validation itself failed, so the snapshot is never lost).
     #[allow(clippy::result_large_err)] // boxed: the Err is pointer-sized
     pub fn execute(mut self) -> Result<RunResult<P::Meta>, Box<RunAborted<P::Meta>>> {
-        // Validate a resume checkpoint against the graph, program and
-        // layout before touching any run state; hand it back on
-        // failure.
+        // Validate a resume checkpoint against the graph and program
+        // before touching any run state; hand it back on failure.
         if let Some(cp) = &self.resume {
             let n = self.inner.bound.graph.num_vertices();
-            let layout = self.inner.bound.runtime.config.layout;
             let mismatch = if cp.num_vertices != n {
                 Some(format!(
                     "checkpoint was captured on a graph with {} vertices, \
@@ -937,11 +882,6 @@ impl<'b, 'rt, 'g, P: AccProgram> ResumableRunBuilder<'b, 'rt, 'g, P> {
                     "checkpoint belongs to algorithm `{}`, not `{}`",
                     cp.algorithm,
                     self.inner.program.name()
-                ))
-            } else if cp.meta.layout() != layout {
-                Some(format!(
-                    "checkpoint uses metadata layout {:?}, this runtime uses {layout:?}",
-                    cp.meta.layout()
                 ))
             } else {
                 None
@@ -1299,13 +1239,13 @@ mod tests {
     }
 
     #[test]
-    fn bind_precomputes_bitmap_word_count() {
+    fn bind_exposes_graph_and_runtime() {
         let g = path_graph(130);
-        let runtime = Runtime::new(EngineConfig::unscaled().bitmap()).expect("runtime");
+        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
         let bound = runtime.bind(&g);
-        assert_eq!(bound.num_bitmap_words(), 130usize.div_ceil(64));
         assert_eq!(bound.graph().num_vertices(), 130);
         assert_eq!(bound.runtime().threads(), 1);
+        assert!(bound.grid().is_none(), "serial runtimes build no grid");
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! the public datasheet values for each card. All timing-relevant
 //! constants feed the cost model in [`crate::cost`].
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a simulated GPU.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name ("Tesla K40").
     pub name: &'static str,

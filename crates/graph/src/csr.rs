@@ -10,14 +10,13 @@
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::{EdgeIdx, VertexId, Weight};
-use serde::{Deserialize, Serialize};
 
 /// A graph in compressed sparse row form.
 ///
 /// `offsets` has `num_vertices + 1` entries; the neighbors of vertex `v`
 /// are `targets[offsets[v] .. offsets[v + 1]]`, and, when present,
 /// `weights` is parallel to `targets`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<EdgeIdx>,
     targets: Vec<VertexId>,
@@ -290,7 +289,7 @@ impl Csr {
 }
 
 /// Orientation of an adjacency scan, matching the engine's push/pull modes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Scatter along out-edges (source-centric).
     Push,
@@ -304,7 +303,7 @@ pub enum Direction {
 /// directions, so the pull view aliases the push view and no transpose is
 /// stored (the paper: "for undirected graph, we only need to store the
 /// out-neighbors", §6).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     out: Csr,
     /// `None` for undirected graphs (pull view == push view).

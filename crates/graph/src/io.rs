@@ -7,13 +7,18 @@
 use crate::csr::Csr;
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
-use crate::{EdgeIdx, VertexId, Weight};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::{VertexId, Weight};
 
 /// Magic prefix of the binary CSR format.
 pub const MAGIC: u32 = 0x5349_4D58; // "SIMX"
 /// Current binary format version.
 pub const VERSION: u32 = 1;
+
+/// Fixed header: magic u32 · version u32 · vertex count u32 · weighted
+/// flag u8 · edge count u64, all little-endian. The payload follows:
+/// `(n + 1)` u64 offsets, `m` u32 targets, then `m` u32 weights when
+/// the flag is set.
+const HEADER_BYTES: usize = 4 + 4 + 4 + 1 + 8;
 
 /// Errors produced while decoding graph data.
 #[derive(Debug, PartialEq, Eq)]
@@ -45,64 +50,102 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Encodes a CSR into the binary format.
-pub fn encode_csr(csr: &Csr) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
-        24 + csr.offsets().len() * 8
+pub fn encode_csr(csr: &Csr) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(
+        HEADER_BYTES
+            + csr.offsets().len() * 8
             + csr.targets().len() * 4
             + csr.weights().map_or(0, |w| w.len() * 4),
     );
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(csr.num_vertices());
-    buf.put_u8(u8::from(csr.is_weighted()));
-    buf.put_u64_le(csr.num_edges());
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&csr.num_vertices().to_le_bytes());
+    buf.push(u8::from(csr.is_weighted()));
+    buf.extend_from_slice(&csr.num_edges().to_le_bytes());
     for &o in csr.offsets() {
-        buf.put_u64_le(o);
+        buf.extend_from_slice(&o.to_le_bytes());
     }
     for &t in csr.targets() {
-        buf.put_u32_le(t);
+        buf.extend_from_slice(&t.to_le_bytes());
     }
-    if let Some(ws) = csr.weights() {
-        for &w in ws {
-            buf.put_u32_le(w);
-        }
+    for &w in csr.weights().unwrap_or_default() {
+        buf.extend_from_slice(&w.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
-/// Decodes a CSR from the binary format.
-pub fn decode_csr(mut data: &[u8]) -> Result<Csr, DecodeError> {
-    if data.remaining() < 21 {
+/// A little-endian cursor whose every read is bounds-checked.
+struct Reader<'a> {
+    data: &'a [u8],
+}
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .data
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.data = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.take().map(u64::from_le_bytes)
+    }
+}
+
+/// Decodes a CSR from the binary format. Any input — truncated at any
+/// offset or with a crafted header — yields a typed error, never a
+/// panic: the declared sizes are checked against the bytes present
+/// before anything is allocated.
+pub fn decode_csr(data: &[u8]) -> Result<Csr, DecodeError> {
+    if data.len() < HEADER_BYTES {
         return Err(DecodeError::Truncated);
     }
-    let magic = data.get_u32_le();
+    let mut r = Reader { data };
+    let magic = r.u32()?;
     if magic != MAGIC {
         return Err(DecodeError::BadMagic(magic));
     }
-    let version = data.get_u32_le();
+    let version = r.u32()?;
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let n = data.get_u32_le() as usize;
-    let weighted = data.get_u8() != 0;
-    let m = data.get_u64_le() as usize;
+    let n = r.u32()?;
+    let weighted = r.u8()? != 0;
+    let m = r.u64()?;
 
-    let need = (n + 1) * 8 + m * 4 + if weighted { m * 4 } else { 0 };
-    if data.remaining() < need {
+    let edge_bytes: u64 = if weighted { 8 } else { 4 };
+    let need = m
+        .checked_mul(edge_bytes)
+        .and_then(|e| e.checked_add((u64::from(n) + 1) * 8))
+        .ok_or(DecodeError::Corrupt("edge count overflows"))?;
+    if (r.data.len() as u64) < need {
         return Err(DecodeError::Truncated);
     }
+    // `need` fits in the input, so both counts fit in `usize` and every
+    // reservation below is backed by bytes actually present.
+    let (n, m) = (n as usize, m as usize);
     let mut offsets = Vec::with_capacity(n + 1);
     for _ in 0..=n {
-        offsets.push(data.get_u64_le() as EdgeIdx);
+        offsets.push(r.u64()?);
     }
     let mut targets = Vec::with_capacity(m);
     for _ in 0..m {
-        targets.push(data.get_u32_le() as VertexId);
+        targets.push(r.u32()? as VertexId);
     }
     let weights = if weighted {
         let mut ws = Vec::with_capacity(m);
         for _ in 0..m {
-            ws.push(data.get_u32_le() as Weight);
+            ws.push(r.u32()? as Weight);
         }
         Some(ws)
     } else {
@@ -215,8 +258,30 @@ mod tests {
     }
 
     #[test]
+    fn crafted_edge_count_is_a_typed_error() {
+        // n = 0, unweighted, m = 2^62, one offset: `m * 4` wraps to 0,
+        // so an unchecked size would pass the length test and then
+        // reserve 2^62 targets.
+        let mut data = Vec::new();
+        data.extend_from_slice(&MAGIC.to_le_bytes());
+        data.extend_from_slice(&VERSION.to_le_bytes());
+        data.extend_from_slice(&0u32.to_le_bytes());
+        data.push(0);
+        data.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        data.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(data.len(), 29);
+        assert!(matches!(
+            decode_csr(&data),
+            Err(DecodeError::Truncated | DecodeError::Corrupt(_))
+        ));
+        // A huge but non-overflowing count is merely truncated.
+        data[13..21].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(decode_csr(&data), Err(DecodeError::Truncated));
+    }
+
+    #[test]
     fn bad_magic_rejected() {
-        let mut data = encode_csr(&sample_csr(false)).to_vec();
+        let mut data = encode_csr(&sample_csr(false));
         data[0] ^= 0xFF;
         assert!(matches!(decode_csr(&data), Err(DecodeError::BadMagic(_))));
     }
@@ -224,7 +289,7 @@ mod tests {
     #[test]
     fn corrupt_target_rejected() {
         let csr = sample_csr(false);
-        let mut data = encode_csr(&csr).to_vec();
+        let mut data = encode_csr(&csr);
         // Last 4 bytes are the final target; make it out of range.
         let len = data.len();
         data[len - 4..].copy_from_slice(&100u32.to_le_bytes());

@@ -1,26 +1,31 @@
 //! The determinism contract of the parallel host backend
 //! (`crates/core/README.md`): for every algorithm, graph class and
 //! thread count, `ExecMode::Parallel` must be **bit-equal** to
-//! `ExecMode::Serial` — identical final metadata, identical per-iteration
-//! activation logs (directions, filters, frontier sizes, per-iteration
-//! cycles) and identical total simulated cycle counts.
+//! `ExecMode::Serial` — identical final metadata (float bit patterns
+//! included), identical per-iteration activation logs (directions,
+//! filters, frontier sizes, per-iteration cycles) and identical
+//! executor statistics.
 //!
-//! The graphs cover the structural classes that stress different engine
-//! paths: RMAT (skewed degrees → CTA worklists, ballot switches, pull
-//! phases), road strips (tiny frontiers over many iterations → online
-//! filter steady state), and Erdős–Rényi (uniform mid-size frontiers →
-//! push/pull direction flips). PageRank additionally locks the
-//! aggregation float path (f32 accumulation order), and k-Core the
-//! non-idempotent decrement path.
+//! Every cell of {BFS, SSSP, PageRank, k-Core, WCC} × {RMAT, road,
+//! Erdős–Rényi} runs against its serial baseline. The graph classes
+//! stress different engine paths: RMAT (skewed degrees → CTA
+//! worklists, ballot switches, hub overflow, pull phases), road strips
+//! (tiny frontiers over many online-filter iterations; their vertex
+//! counts are warp-misaligned, so the ballot scan's partial tail chunk
+//! is always exercised) and Erdős–Rényi (uniform mid-size frontiers →
+//! push/pull direction flips). Together the five algorithms cover both
+//! Combine kinds, the aggregation-pull candidate sweep, the
+//! non-idempotent decrement path (k-Core) and float accumulation order
+//! (PageRank).
 
-use simdx::algos::{bfs, kcore, pagerank, sssp};
+use simdx::algos::{bfs, kcore, pagerank, sssp, wcc};
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
 use simdx::graph::gen::{Erdos, Rmat, Road};
 use simdx::graph::{weights, EdgeList, Graph};
 use simdx_gpu::executor::ExecutorStats;
 
-const THREAD_COUNTS: [usize; 3] = [2, 3, 6];
+const THREAD_COUNTS: [usize; 4] = [2, 3, 5, 6];
 
 /// Everything that must match bit for bit between the two exec modes.
 #[derive(Debug, PartialEq)]
@@ -41,29 +46,20 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
 }
 
 /// Runs `run` under serial and parallel modes and asserts equality.
-/// The thread-count sweep runs in both frontier representations —
-/// bitmap mode partitions the ballot scan and the push destination
-/// shards on 64-vertex word boundaries (the word-level analogue of the
-/// list scan's warp alignment), and that partitioning must be just as
-/// thread-count-independent as the list one.
 fn assert_equivalent<M, F>(what: &str, run: F)
 where
     M: PartialEq + std::fmt::Debug,
     F: Fn(EngineConfig) -> RunResult<M>,
 {
-    let base = EngineConfig::default().with_frontier(FrontierRepr::List);
+    let base = EngineConfig::default().with_exec(ExecMode::Serial);
     let serial = fingerprint(run(base.clone()));
     assert!(serial.iterations > 0, "{what}: trivial run proves nothing");
     for threads in THREAD_COUNTS {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let par = fingerprint(run(base.clone().parallel(threads).with_frontier(repr)));
-            assert_eq!(
-                par,
-                serial,
-                "{what} with {threads} threads ({}) diverged from serial",
-                repr.label()
-            );
-        }
+        let par = fingerprint(run(base.clone().parallel(threads)));
+        assert_eq!(
+            par, serial,
+            "{what} with {threads} threads diverged from serial"
+        );
     }
 }
 
@@ -164,40 +160,43 @@ fn kcore_parallel_equals_serial_on_road() {
 }
 
 #[test]
-fn grid_push_is_work_optimal_scan_is_not() {
+fn wcc_parallel_equals_serial_on_rmat() {
+    let g = Graph::undirected_from_edges(Rmat::gtgraph(12, 8).generate(5));
+    assert_equivalent("wcc/rmat", |cfg| wcc::run(&g, cfg).expect("wcc"));
+}
+
+#[test]
+fn wcc_parallel_equals_serial_on_er() {
+    let g = Graph::undirected_from_edges(Erdos::new(4096, 8).generate(5));
+    assert_equivalent("wcc/er", |cfg| wcc::run(&g, cfg).expect("wcc"));
+}
+
+#[test]
+fn wcc_parallel_equals_serial_on_road() {
+    let g = road_graph();
+    assert_equivalent("wcc/road", |cfg| wcc::run(&g, cfg).expect("wcc"));
+}
+
+#[test]
+fn grid_push_is_work_optimal() {
     // The work-optimality regression guard: a push iteration's edge
     // work is the frontier's out-degree sum (what the serial engine
-    // examines and what every `IterationRecord` logs). The grid
-    // strategy must examine exactly that — one traversal of each
-    // frontier edge per iteration, regardless of the worker count —
-    // while the scan strategy replays the full task list per worker
-    // and therefore examines exactly `threads ×` it.
+    // examines and what every `IterationRecord` logs). The parallel
+    // push must examine exactly that — one traversal of each frontier
+    // edge per iteration, regardless of the worker count — not the
+    // `threads ×` a full task-list replay per worker would cost.
     let g = rmat_graph();
-    let cfg = EngineConfig::default()
-        .with_direction(DirectionPolicy::FixedPush)
-        .with_frontier(FrontierRepr::List);
+    let cfg = EngineConfig::default().with_direction(DirectionPolicy::FixedPush);
     let serial = bfs::run(&g, 0, cfg.clone().with_exec(ExecMode::Serial)).expect("bfs");
     let frontier_edges: u64 = serial.report.log.records.iter().map(|r| r.degree_sum).sum();
     assert!(frontier_edges > 0, "trivial run proves nothing");
     assert_eq!(serial.report.edges_examined, frontier_edges);
     for threads in THREAD_COUNTS {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let base = cfg.clone().parallel(threads).with_frontier(repr);
-            let grid = bfs::run(&g, 0, base.clone().with_push(PushStrategy::Grid)).expect("bfs");
-            assert_eq!(
-                grid.report.edges_examined,
-                frontier_edges,
-                "{threads} threads ({}): grid push must examine each frontier edge exactly once",
-                repr.label()
-            );
-            let scan = bfs::run(&g, 0, base.scan_push()).expect("bfs");
-            assert_eq!(
-                scan.report.edges_examined,
-                threads as u64 * frontier_edges,
-                "{threads} threads ({}): scan push replays the task list per worker",
-                repr.label()
-            );
-        }
+        let grid = bfs::run(&g, 0, cfg.clone().parallel(threads)).expect("bfs");
+        assert_eq!(
+            grid.report.edges_examined, frontier_edges,
+            "{threads} threads: push must examine each frontier edge exactly once"
+        );
     }
 }
 
@@ -212,9 +211,7 @@ fn grid_examined_matches_serial_under_direction_switches() {
         let serial = run(EngineConfig::default().with_exec(ExecMode::Serial));
         assert!(serial.log.records.len() > 1, "trivial run proves nothing");
         for threads in THREAD_COUNTS {
-            let grid = run(EngineConfig::default()
-                .parallel(threads)
-                .with_push(PushStrategy::Grid));
+            let grid = run(EngineConfig::default().parallel(threads));
             assert_eq!(
                 grid.edges_examined, serial.edges_examined,
                 "{threads} threads: grid backend examined different edge work"

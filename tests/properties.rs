@@ -4,42 +4,46 @@
 
 use proptest::prelude::*;
 use simdx::algos::{bfs, kcore, reference, sssp, wcc, Bfs};
-use simdx::core::metadata::{CHUNK_ALIGN, CHUNK_LANES};
 use simdx::core::persist::{self, DurableCheckpoint};
 use simdx::core::prelude::*;
-use simdx::core::{FilterPolicy, FrontierBitmap, GridCsr, MetadataStore};
-use simdx::graph::{io, weights, Csr, EdgeList, Graph};
-use std::collections::BTreeSet;
+use simdx::core::{FilterPolicy, GridCsr};
+use simdx::graph::io::{self, DecodeError};
+use simdx::graph::{weights, Csr, EdgeList, Graph};
 
 /// Strategy: an arbitrary directed graph with up to `max_v` vertices.
 fn arb_edges(max_v: u32, max_e: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     (2..max_v).prop_flat_map(move |n| (Just(n), proptest::collection::vec((0..n, 0..n), 0..max_e)))
 }
 
-/// Strategy: a bitmap size (deliberately word- and warp-misaligned most
-/// of the time) plus an arbitrary set/clear/test op sequence over it.
-fn arb_bitmap_ops(max_v: u32, max_ops: usize) -> impl Strategy<Value = (u32, Vec<(u8, u32)>)> {
-    (2..max_v).prop_flat_map(move |n| {
-        (
-            Just(n),
-            proptest::collection::vec((0u8..3, 0..n), 0..max_ops),
-        )
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// CSR construction round-trips through the binary codec.
+    /// CSR construction round-trips through the binary codec, and
+    /// truncating the encoding at **every** byte offset yields a typed
+    /// error — never a panic, never a silently shorter graph.
     #[test]
-    fn csr_codec_roundtrip((n, edges) in arb_edges(64, 200)) {
+    fn csr_codec_roundtrip((n, edges) in arb_edges(64, 200), wseed in 0u64..100) {
         let mut el = EdgeList::new(n);
         for (s, d) in edges {
             el.push(s, d);
         }
-        let csr = Csr::from_edge_list(&el);
-        let decoded = io::decode_csr(&io::encode_csr(&csr)).expect("roundtrip");
-        prop_assert_eq!(decoded, csr);
+        for el in [el.clone(), weights::assign_default_weights(&el, wseed)] {
+            let csr = Csr::from_edge_list(&el);
+            let blob = io::encode_csr(&csr);
+            let decoded = io::decode_csr(&blob).expect("roundtrip");
+            prop_assert_eq!(decoded, csr);
+            for len in 0..blob.len() {
+                match io::decode_csr(&blob[..len]) {
+                    Err(DecodeError::Truncated | DecodeError::Corrupt(_)) => {}
+                    other => prop_assert!(
+                        false,
+                        "truncation to {} bytes: expected a typed error, got {:?}",
+                        len,
+                        other
+                    ),
+                }
+            }
+        }
     }
 
     /// CSR invariants: offsets monotone, degrees sum to |E|, neighbors
@@ -69,91 +73,6 @@ proptest! {
         el.dedup();
         let csr = Csr::from_edge_list(&el);
         prop_assert_eq!(csr.transpose().transpose(), csr);
-    }
-
-    /// [`FrontierBitmap`] agrees with a `BTreeSet` model under
-    /// arbitrary set/clear/test sequences: same membership, same
-    /// popcount cardinality, same ascending iteration and drain order.
-    #[test]
-    fn bitmap_matches_btreeset_model((n, ops) in arb_bitmap_ops(300, 120)) {
-        let mut bm = FrontierBitmap::new(n as usize);
-        let mut model: BTreeSet<u32> = BTreeSet::new();
-        for (op, v) in ops {
-            match op {
-                0 => {
-                    bm.set(v);
-                    model.insert(v);
-                }
-                1 => {
-                    bm.unset(v);
-                    model.remove(&v);
-                }
-                _ => prop_assert_eq!(bm.test(v), model.contains(&v)),
-            }
-        }
-        let expected: Vec<u32> = model.iter().copied().collect();
-        prop_assert_eq!(bm.count(), expected.len() as u64);
-        prop_assert_eq!(bm.is_empty(), expected.is_empty());
-        prop_assert_eq!(bm.iter().collect::<Vec<_>>(), expected.clone());
-        let mut drained = Vec::new();
-        bm.drain_into(&mut drained);
-        prop_assert_eq!(drained, expected);
-        prop_assert!(bm.is_empty());
-    }
-
-    /// [`MetadataStore`] agrees with a plain `Vec` model in both
-    /// layouts under arbitrary construction + point-write sequences:
-    /// same elements at same indices, same length, same round-trip
-    /// through `clone` and `into_vec`. Lengths are deliberately
-    /// warp-misaligned most of the time, so the chunked layout's
-    /// partial tail chunk (n % 32 != 0) is exercised constantly, and
-    /// the chunked buffer must start on a cache-line boundary.
-    #[test]
-    fn metadata_store_matches_vec_model(
-        (n, writes) in (1u32..200).prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec((0..n, 0..u32::MAX), 0..64))
-        }),
-    ) {
-        let init: Vec<u32> = (0..n).map(|i: u32| i.wrapping_mul(2_654_435_761)).collect();
-        let mut model = init.clone();
-        let mut flat = MetadataStore::from_vec(MetadataLayout::Flat, init.clone());
-        let mut chunked = MetadataStore::from_vec(MetadataLayout::Chunked, init);
-        prop_assert_eq!(
-            chunked.as_slice().as_ptr() as usize % CHUNK_ALIGN,
-            0,
-            "chunked buffer must be cache-line aligned"
-        );
-        prop_assert_eq!(chunked.num_chunks(), (n as usize).div_ceil(CHUNK_LANES));
-        for (v, x) in writes {
-            model[v as usize] = x;
-            flat.as_mut_slice()[v as usize] = x;
-            chunked.as_mut_slice()[v as usize] = x;
-        }
-        prop_assert_eq!(flat.as_slice(), model.as_slice());
-        prop_assert_eq!(chunked.as_slice(), model.as_slice());
-        prop_assert_eq!(flat.len(), model.len());
-        prop_assert_eq!(chunked.len(), model.len());
-        let cloned = chunked.clone();
-        prop_assert_eq!(cloned.as_slice(), model.as_slice());
-        prop_assert_eq!(flat.into_vec(), model.clone());
-        prop_assert_eq!(chunked.into_vec(), model);
-    }
-
-    /// A sorted, duplicate-free worklist round-trips through the
-    /// bitmap representation unchanged, including at warp-misaligned
-    /// lengths (partial tail words).
-    #[test]
-    fn bitmap_roundtrips_sorted_worklists((n, raw) in arb_bitmap_ops(200, 80)) {
-        let mut list: Vec<u32> = raw.into_iter().map(|(_, v)| v).collect();
-        list.sort_unstable();
-        list.dedup();
-        let mut bm = FrontierBitmap::default();
-        bm.fill_from_list(n as usize, &list);
-        prop_assert_eq!(bm.num_words(), (n as usize).div_ceil(64));
-        prop_assert_eq!(bm.count(), list.len() as u64);
-        let mut out = Vec::new();
-        bm.collect_into(&mut out);
-        prop_assert_eq!(out, list);
     }
 
     /// The grid CSR is a lossless destination-bucketed partition of
@@ -209,29 +128,27 @@ proptest! {
         }
     }
 
-    /// The grid push strategy is bit-equal to the scan strategy on
+    /// The parallel grid push is bit-equal to the serial engine on
     /// arbitrary graphs: same metadata, same activation log, same
-    /// simulated cycle counts (the strategy axis of the determinism
+    /// simulated cycle counts (the exec-mode axis of the determinism
     /// contract, at property scale).
     #[test]
-    fn push_strategies_bit_equal_on_arbitrary_graphs((n, edges) in arb_edges(48, 150)) {
+    fn parallel_push_bit_equal_on_arbitrary_graphs((n, edges) in arb_edges(48, 150)) {
         let g = Graph::directed_from_edges(EdgeList::from_pairs(
             edges.iter().map(|&(s, d)| (s % n, d % n)).collect::<Vec<_>>(),
         ));
         if g.num_vertices() == 0 {
             return Ok(());
         }
-        let base = EngineConfig::unscaled().parallel(3);
-        let scan = bfs::run(&g, 0, base.clone().scan_push()).expect("scan bfs");
-        let grid = bfs::run(&g, 0, base.with_push(PushStrategy::Grid)).expect("grid bfs");
-        prop_assert_eq!(&grid.meta, &scan.meta);
-        prop_assert_eq!(&grid.report.log, &scan.report.log);
-        prop_assert_eq!(&grid.report.stats, &scan.report.stats);
+        let serial = bfs::run(&g, 0, EngineConfig::unscaled()).expect("serial bfs");
+        let grid = bfs::run(&g, 0, EngineConfig::unscaled().parallel(3)).expect("grid bfs");
+        prop_assert_eq!(&grid.meta, &serial.meta);
+        prop_assert_eq!(&grid.report.log, &serial.report.log);
+        prop_assert_eq!(&grid.report.stats, &serial.report.stats);
     }
 
     /// The engine's BFS equals the sequential reference on arbitrary
-    /// graphs under every filter policy, frontier representation and
-    /// metadata layout.
+    /// graphs under every filter policy.
     #[test]
     fn engine_bfs_equals_reference((n, edges) in arb_edges(48, 150)) {
         let g = Graph::directed_from_edges(EdgeList::from_pairs(
@@ -242,20 +159,8 @@ proptest! {
         }
         let expected = reference::bfs(g.out(), 0);
         for policy in [FilterPolicy::Jit, FilterPolicy::BallotOnly] {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-                    let r = bfs::run(
-                        &g,
-                        0,
-                        EngineConfig::unscaled()
-                            .with_filter(policy)
-                            .with_frontier(repr)
-                            .with_layout(layout),
-                    )
-                    .expect("bfs");
-                    prop_assert_eq!(&r.meta, &expected);
-                }
-            }
+            let r = bfs::run(&g, 0, EngineConfig::unscaled().with_filter(policy)).expect("bfs");
+            prop_assert_eq!(&r.meta, &expected);
         }
     }
 
@@ -371,9 +276,7 @@ proptest! {
     /// Cancelling a *checkpointed* run at an arbitrary iteration and
     /// resuming from the handed-back snapshot is bit-equal to the
     /// uninterrupted run — metadata, activation log and simulated
-    /// cycles — on arbitrary graphs, across knob cells covering every
-    /// value of the {exec} × {frontier repr} × {layout} × {push
-    /// strategy} axes in both exec modes.
+    /// cycles — on arbitrary graphs, in both exec modes.
     #[test]
     fn checkpointed_cancel_then_resume_is_bit_equal(
         (n, edges) in arb_edges(48, 150),
@@ -385,21 +288,8 @@ proptest! {
         if g.num_vertices() == 0 {
             return Ok(());
         }
-        let par = ExecMode::Parallel { threads: 3 };
-        let cells = [
-            (ExecMode::Serial, FrontierRepr::List, MetadataLayout::Flat, PushStrategy::Grid),
-            (ExecMode::Serial, FrontierRepr::Bitmap, MetadataLayout::Chunked, PushStrategy::Scan),
-            (par, FrontierRepr::List, MetadataLayout::Chunked, PushStrategy::Scan),
-            (par, FrontierRepr::Bitmap, MetadataLayout::Flat, PushStrategy::Scan),
-            (par, FrontierRepr::Bitmap, MetadataLayout::Chunked, PushStrategy::Grid),
-            (par, FrontierRepr::List, MetadataLayout::Flat, PushStrategy::Grid),
-        ];
-        for (exec, repr, layout, push) in cells {
-            let cfg = EngineConfig::unscaled()
-                .with_exec(exec)
-                .with_frontier(repr)
-                .with_layout(layout)
-                .with_push(push);
+        for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
+            let cfg = EngineConfig::unscaled().with_exec(exec);
             let baseline = bfs::run(&g, 0, cfg.clone()).expect("fresh baseline");
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);
@@ -468,7 +358,7 @@ proptest! {
     }
 
     /// The durable wire format over *real* mid-run checkpoints (BFS
-    /// cancelled at an arbitrary boundary, both metadata layouts):
+    /// cancelled at an arbitrary boundary, both exec modes):
     /// decode∘encode restores the checkpoint so exactly that (a)
     /// re-encoding reproduces the blob byte-for-byte and (b) resuming
     /// the decoded checkpoint is bit-equal to resuming the original —
@@ -487,19 +377,8 @@ proptest! {
         if g.num_vertices() == 0 {
             return Ok(());
         }
-        let cells = [
-            (ExecMode::Serial, FrontierRepr::List, MetadataLayout::Flat),
-            (
-                ExecMode::Parallel { threads: 2 },
-                FrontierRepr::Bitmap,
-                MetadataLayout::Chunked,
-            ),
-        ];
-        for (exec, repr, layout) in cells {
-            let cfg = EngineConfig::unscaled()
-                .with_exec(exec)
-                .with_frontier(repr)
-                .with_layout(layout);
+        for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+            let cfg = EngineConfig::unscaled().with_exec(exec);
             let baseline = bfs::run(&g, 0, cfg.clone()).expect("fresh baseline");
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);
