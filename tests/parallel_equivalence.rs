@@ -10,10 +10,8 @@
 //! Erdős–Rényi} runs against its serial baseline. The graph classes
 //! stress different engine paths: RMAT (skewed degrees → CTA
 //! worklists, ballot switches, hub overflow, pull phases), road strips
-//! (tiny frontiers over many online-filter iterations; their vertex
-//! counts are warp-misaligned, so the ballot scan's partial tail chunk
-//! is always exercised) and Erdős–Rényi (uniform mid-size frontiers →
-//! push/pull direction flips). Together the five algorithms cover both
+//! (tiny frontiers over many online-filter iterations) and Erdős–Rényi
+//! (uniform mid-size frontiers → push/pull direction flips). Together the five algorithms cover both
 //! Combine kinds, the aggregation-pull candidate sweep, the
 //! non-idempotent decrement path (k-Core) and float accumulation order
 //! (PageRank).
